@@ -13,10 +13,8 @@ TaskId TaskGraph::add_task(Task task) {
   if (task.name.empty()) {
     throw ModelError("task name must not be empty");
   }
-  for (const auto& existing : tasks_) {
-    if (existing.name == task.name) {
-      throw ModelError("duplicate task name: " + task.name);
-    }
+  if (id_of_.contains(task.name)) {
+    throw ModelError("duplicate task name: " + task.name);
   }
   if (task.period <= 0) {
     throw ModelError("task " + task.name + ": period must be positive");
@@ -32,8 +30,12 @@ TaskId TaskGraph::add_task(Task task) {
   if (task.memory < 0) {
     throw ModelError("task " + task.name + ": memory must be non-negative");
   }
+  // Indexed only now that every check has passed: a rejected add must not
+  // reserve its name.
+  const auto id = static_cast<TaskId>(tasks_.size());
+  id_of_.emplace(task.name, id);
   tasks_.push_back(std::move(task));
-  return static_cast<TaskId>(tasks_.size() - 1);
+  return id;
 }
 
 TaskId TaskGraph::add_task(std::string name, Time period, Time wcet,
@@ -68,12 +70,10 @@ void TaskGraph::add_dependence(TaskId producer, TaskId consumer,
   if (data_size <= 0) {
     throw ModelError("dependence data_size must be positive");
   }
-  for (const auto& d : deps_) {
-    if (d.producer == producer && d.consumer == consumer) {
-      throw ModelError("duplicate dependence " +
-                       tasks_[static_cast<std::size_t>(producer)].name + " -> " +
-                       tasks_[static_cast<std::size_t>(consumer)].name);
-    }
+  if (edge_keys_.contains(edge_key(producer, consumer))) {
+    throw ModelError("duplicate dependence " +
+                     tasks_[static_cast<std::size_t>(producer)].name + " -> " +
+                     tasks_[static_cast<std::size_t>(consumer)].name);
   }
   const Time tp = tasks_[static_cast<std::size_t>(producer)].period;
   const Time tc = tasks_[static_cast<std::size_t>(consumer)].period;
@@ -85,6 +85,7 @@ void TaskGraph::add_dependence(TaskId producer, TaskId consumer,
                      tasks_[static_cast<std::size_t>(consumer)].name + " (T=" +
                      std::to_string(tc) + ")");
   }
+  edge_keys_.insert(edge_key(producer, consumer));
   deps_.push_back(Dependence{producer, consumer, data_size});
 }
 
@@ -149,9 +150,7 @@ void TaskGraph::freeze() {
 }
 
 TaskId TaskGraph::find(const std::string& name) const {
-  for (TaskId t = 0; t < static_cast<TaskId>(tasks_.size()); ++t) {
-    if (tasks_[static_cast<std::size_t>(t)].name == name) return t;
-  }
+  if (const auto id = try_find(name)) return *id;
   throw ModelError("no task named " + name);
 }
 

@@ -7,10 +7,17 @@
 /// immutable after freeze(): validation establishes the invariants every
 /// other module relies on (acyclicity, harmonic dependent periods,
 /// positive WCETs bounded by periods), computes the hyper-period and a
-/// topological order, and builds adjacency indexes.
+/// topological order, and builds adjacency indexes. A name index and an
+/// edge-key set, maintained from the first add, make duplicate checks and
+/// name lookups O(1), so rebuilding a graph of N tasks and E edges costs
+/// O(N + E) rather than O(N^2 + E^2).
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "lbmem/model/task.hpp"
@@ -75,6 +82,13 @@ class TaskGraph {
 
   /// Find a task id by name; throws ModelError if absent.
   TaskId find(const std::string& name) const;
+
+  /// Task id by name, or std::nullopt if absent.
+  std::optional<TaskId> try_find(const std::string& name) const {
+    const auto it = id_of_.find(name);
+    if (it == id_of_.end()) return std::nullopt;
+    return it->second;
+  }
 
   /// Hyper-period H = lcm of all task periods (paper Section 3.1, ref [13]).
   Time hyperperiod() const {
@@ -210,10 +224,18 @@ class TaskGraph {
   }
   [[noreturn]] static void throw_not_frozen(const char* what);
   void require_mutable(const char* what) const;
+  static std::uint64_t edge_key(TaskId producer, TaskId consumer) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(producer))
+            << 32) |
+           static_cast<std::uint32_t>(consumer);
+  }
 
   std::vector<Task> tasks_;
   std::vector<Dependence> deps_;
   bool frozen_ = false;
+  // Maintained by add_task/add_dependence, for O(1) duplicate checks.
+  std::unordered_map<std::string, TaskId> id_of_;
+  std::unordered_set<std::uint64_t> edge_keys_;  // edge_key(producer, consumer)
 
   // Derived by freeze():
   Time hyperperiod_ = 0;

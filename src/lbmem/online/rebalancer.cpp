@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "lbmem/api/solver.hpp"
@@ -16,14 +15,6 @@
 namespace lbmem {
 
 namespace {
-
-/// Task id by name, or -1 (events identify tasks by name; DESIGN.md F10).
-TaskId maybe_find(const TaskGraph& graph, const std::string& name) {
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (graph.task(t).name == name) return t;
-  }
-  return -1;
-}
 
 /// All-instances occupancy of \p sched. Unassigned instances (a not-yet-
 /// admitted arrival) simply have no footprint. instances_on() is sorted by
@@ -70,19 +61,14 @@ int count_migrations(const Schedule& pre, const Schedule& post) {
     }
     return migrations;
   }
-  std::unordered_map<std::string, TaskId> new_ids;
-  for (TaskId t = 0; t < static_cast<TaskId>(ng.task_count()); ++t) {
-    new_ids.emplace(ng.task(t).name, t);
-  }
   int migrations = 0;
   for (TaskId t = 0; t < static_cast<TaskId>(og.task_count()); ++t) {
-    const auto it = new_ids.find(og.task(t).name);
-    if (it == new_ids.end()) continue;  // removed
+    const auto nt = ng.try_find(og.task(t).name);
+    if (!nt) continue;  // removed
     const InstanceIdx n =
-        std::min(og.instance_count(t), ng.instance_count(it->second));
+        std::min(og.instance_count(t), ng.instance_count(*nt));
     for (InstanceIdx k = 0; k < n; ++k) {
-      if (pre.proc(TaskInstance{t, k}) !=
-          post.proc(TaskInstance{it->second, k})) {
+      if (pre.proc(TaskInstance{t, k}) != post.proc(TaskInstance{*nt, k})) {
         ++migrations;
       }
     }
@@ -262,9 +248,11 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
               work.architecture().memory_capacity()) {
         continue;  // admitting t whole on p would overrun the capacity
       }
+      // A start later than the best so far cannot win; ties still can.
       const Time lb = precedence_lower_bound(work, t, p);
       const auto start = occ[static_cast<std::size_t>(p)].earliest_fit(
-          lb, task.period, task.wcet, n);
+          lb, task.period, task.wcet, n,
+          best_proc == kNoProc ? ProcTimeline::kNoLatest : best_start);
       if (!start) continue;
       bool better = false;
       if (best_proc == kNoProc) {
@@ -329,18 +317,10 @@ Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
       ProcTimeline(graph.hyperperiod()));
   candidate.dirty.assign(graph.task_count(), 1);
   candidate.preferred.assign(graph.task_count(), kNoProc);
-  // One name index instead of a per-task linear scan: a full replace at
-  // N tasks would otherwise cost O(N^2) string compares.
-  std::unordered_map<std::string, TaskId> old_ids;
-  for (TaskId t = 0; t < static_cast<TaskId>(pre.graph().task_count());
-       ++t) {
-    old_ids.emplace(pre.graph().task(t).name, t);
-  }
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    const auto it = old_ids.find(graph.task(t).name);
-    if (it != old_ids.end()) {
+    if (const auto old = pre.graph().try_find(graph.task(t).name)) {
       candidate.preferred[static_cast<std::size_t>(t)] =
-          pre.proc(TaskInstance{it->second, 0});
+          pre.proc(TaskInstance{*old, 0});
     }
   }
   return candidate;
@@ -734,11 +714,12 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
   switch (event.kind()) {
     case EventKind::WcetChange: {
       const WcetChange& change = std::get<WcetChange>(event.payload);
-      const TaskId t = maybe_find(*graph_, change.task);
-      if (t < 0) {
+      const auto found = graph_->try_find(change.task);
+      if (!found) {
         reject = "wcet change for unknown task " + change.task;
         break;
       }
+      const TaskId t = *found;
       const Time old_wcet = graph_->task(t).wcet;
       if (change.wcet == old_wcet) {
         // Nothing changed: apply as a no-op instead of paying for a
@@ -819,12 +800,12 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
           rebuilt->add_dependence(dep.producer, dep.consumer, dep.data_size);
         }
         for (const NewTaskSpec::Producer& producer : spec.producers) {
-          const TaskId pid = maybe_find(*rebuilt, producer.task);
-          if (pid < 0) {
+          const auto pid = rebuilt->try_find(producer.task);
+          if (!pid) {
             throw ModelError("arrival references unknown producer " +
                              producer.task);
           }
-          rebuilt->add_dependence(pid, nid, producer.data_size);
+          rebuilt->add_dependence(*pid, nid, producer.data_size);
         }
         rebuilt->freeze();
 
@@ -865,11 +846,12 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
 
     case EventKind::TaskRemoval: {
       const std::string& name = std::get<TaskRemoval>(event.payload).task;
-      const TaskId victim = maybe_find(*graph_, name);
-      if (victim < 0) {
+      const auto found = graph_->try_find(name);
+      if (!found) {
         reject = "removal of unknown task " + name;
         break;
       }
+      const TaskId victim = *found;
       if (graph_->task_count() == 1) {
         reject = "cannot remove the last task";
         break;

@@ -44,15 +44,17 @@ struct Candidate {
   Time start;
 };
 
-/// Earliest feasible placement of whole task \p t on processor \p p.
+/// Earliest feasible placement of whole task \p t on processor \p p, if
+/// it is no later than \p latest (see ProcTimeline::earliest_fit).
 std::optional<Time> earliest_on(const Schedule& sched,
                                 const ProcTimeline& timeline, TaskId t,
-                                ProcId p) {
+                                ProcId p,
+                                Time latest = ProcTimeline::kNoLatest) {
   const TaskGraph& graph = sched.graph();
   const Task& task = graph.task(t);
   const Time lb = precedence_lower_bound(sched, t, p);
   return timeline.earliest_fit(lb, task.period, task.wcet,
-                               graph.instance_count(t));
+                               graph.instance_count(t), latest);
 }
 
 /// Round-robin processor per period class, in increasing period order
@@ -105,10 +107,13 @@ Schedule build_initial_schedule(const TaskGraph& graph,
 
     if (!chosen) {
       // MinStartTime policy, or cluster fallback: earliest over all
-      // processors; ties broken by lower memory load, then index.
+      // processors; ties broken by lower memory load, then index. A start
+      // later than the best so far can never win, so each search stops
+      // there (inclusive: a tie may still win on memory).
       for (ProcId p = 0; p < arch.processor_count(); ++p) {
         const auto s =
-            earliest_on(sched, timelines[static_cast<std::size_t>(p)], t, p);
+            earliest_on(sched, timelines[static_cast<std::size_t>(p)], t, p,
+                        chosen ? chosen->start : ProcTimeline::kNoLatest);
         if (!s) continue;
         if (!chosen || *s < chosen->start ||
             (*s == chosen->start &&

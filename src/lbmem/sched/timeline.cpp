@@ -160,35 +160,60 @@ void ProcTimeline::remove(TaskInstance owner) {
   if (slots.second >= 0) erase_piece_at(slots.second, owner);
 }
 
-std::optional<Time> ProcTimeline::earliest_fit(Time lb, Time period, Time wcet,
-                                               InstanceIdx n) const {
-  LBMEM_REQUIRE(period > 0 && wcet > 0 && wcet <= period && n > 0,
-                "earliest_fit: bad task shape");
-  LBMEM_REQUIRE(static_cast<Time>(n) * period == h_ ||
-                    static_cast<Time>(n) * period <= h_,
-                "earliest_fit: instances exceed hyper-period");
-  Time s = lb;
-  const Time limit = lb + period;  // feasibility is periodic in S with period T
-  while (s < limit) {
-    bool ok = true;
-    Time jump = 0;
-    for (InstanceIdx k = 0; k < n; ++k) {
-      const Time inst_start = s + static_cast<Time>(k) * period;
-      const Time pos = mod_floor(inst_start, h_);
-      if (const Piece* conflict = find_conflict_circular(pos, wcet)) {
-        ok = false;
-        // Shift so that this instance lands exactly at the conflicting
-        // piece's end (circularly). Strictly positive because they overlap.
-        Time delta = mod_floor(conflict->start + conflict->len - inst_start, h_);
-        if (delta == 0) delta = h_;
-        jump = delta;
-        break;
+Time ProcTimeline::skip_run(const Piece* conflict, Time pos, Time wcet,
+                            Time cap) const {
+  // Positions are measured from pos without wrapping: `end` is where the
+  // run ends so far, and a stored piece p sits at p.start + base.
+  Time end = mod_floor(conflict->start + conflict->len - pos, h_);
+  if (end == 0) end = h_;
+  Time base = end - conflict->len - conflict->start;
+  std::size_t b = bucket_of(conflict->start);
+  auto i = static_cast<std::size_t>(conflict - buckets_[b].data());
+  while (end < cap) {
+    if (++i == buckets_[b].size()) {
+      i = 0;
+      b = next_nonempty(b + 1);
+      if (b == npos) {  // past the last piece: wrap to the first at H
+        b = next_nonempty(0);
+        base += h_;
       }
     }
-    if (ok) return s;
-    s += jump;
+    const Piece& next = buckets_[b][i];
+    if (next.start + base - end >= wcet) break;  // the instance fits here
+    end = next.start + base + next.len;
   }
-  return std::nullopt;
+  return end;
+}
+
+std::optional<Time> ProcTimeline::earliest_fit(Time lb, Time period, Time wcet,
+                                               InstanceIdx n,
+                                               Time latest) const {
+  LBMEM_REQUIRE(period > 0 && wcet > 0 && wcet <= period && n > 0,
+                "earliest_fit: bad task shape");
+  LBMEM_REQUIRE(static_cast<Time>(n) * period <= h_,
+                "earliest_fit: instances exceed hyper-period");
+  // Feasibility is periodic in S with period T; `latest` only narrows.
+  const Time limit = latest < lb + period ? latest + 1 : lb + period;
+  Time s = lb;
+  if (s >= limit) return std::nullopt;
+  // Instances are checked round-robin; `clear` counts the consecutive ones
+  // (ending just before k) known to fit at s, so a jump re-checks only
+  // the instances it may have broken.
+  InstanceIdx k = 0;
+  InstanceIdx clear = 0;
+  while (clear < n) {
+    const Time pos = mod_floor(s + static_cast<Time>(k) * period, h_);
+    if (const Piece* conflict = find_conflict_circular(pos, wcet)) {
+      const Time jump = skip_run(conflict, pos, wcet, limit - s);
+      if (jump >= limit - s) return std::nullopt;
+      s += jump;
+      clear = 1;  // instance k fits at the run's end by construction
+    } else {
+      ++clear;
+    }
+    if (++k == n) k = 0;
+  }
+  return s;
 }
 
 Time ProcTimeline::busy_time() const {

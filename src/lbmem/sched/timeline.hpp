@@ -13,7 +13,15 @@
 ///
 /// Feasibility of a first-instance start S is periodic in S with period T:
 /// shifting S by T reproduces the same occupied positions modulo H, so the
-/// earliest-fit search only ever scans [lb, lb+T).
+/// earliest-fit search only ever scans [lb, lb+T). Each probe that finds
+/// an instance in conflict skips the whole busy run behind the conflicting
+/// piece: it walks the following pieces in circular order for as long as
+/// the gap to the next one is shorter than the WCET, and moves S so the
+/// instance lands at the run's end. Every skipped start would overlap a
+/// piece of the run or sit in a gap too short for the instance, so the
+/// search still returns the minimum feasible start. An optional inclusive
+/// upper bound (`latest`) stops the search early, which lets a caller
+/// scanning several processors prune at the best start found so far.
 ///
 /// The balancer churns add/remove heavily (it re-attaches the instances of
 /// every block it relocates), so the storage is organised for cheap
@@ -31,6 +39,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -94,10 +103,18 @@ class ProcTimeline {
     return std::nullopt;
   }
 
+  /// earliest_fit's default \p latest: no upper bound.
+  static constexpr Time kNoLatest = std::numeric_limits<Time>::max();
+
   /// Earliest S in [lb, lb+period) such that every instance interval
-  /// [S + k*period, +wcet), k in [0, n), fits. std::nullopt if none exists.
+  /// [S + k*period, +wcet), k in [0, n), fits (n*period <= H).
+  /// std::nullopt if none exists, or if the earliest such S is later than
+  /// the inclusive bound \p latest (always when latest < lb). A bounded
+  /// call therefore returns the unbounded result when that result is
+  /// <= latest, and stops searching as soon as it passes latest.
   std::optional<Time> earliest_fit(Time lb, Time period, Time wcet,
-                                   InstanceIdx n) const;
+                                   InstanceIdx n,
+                                   Time latest = kNoLatest) const;
 
   /// Total occupied time within one hyper-period.
   Time busy_time() const;
@@ -262,6 +279,15 @@ class ProcTimeline {
     if (const Piece* p = find_conflict(pos, h_, ignore)) return p;
     return find_conflict(0, pos + len - h_, ignore);
   }
+
+  /// Distance from \p pos to the end of the busy run that begins with
+  /// \p conflict (a piece overlapping an instance of length \p wcet placed
+  /// at \p pos). The run absorbs each following piece, in circular order,
+  /// whose gap to the run is shorter than \p wcet. Every start in
+  /// [pos, pos + result) overlaps the run or sits in a gap too short for
+  /// the instance. The walk stops once the result reaches \p cap; below
+  /// it, a start at pos + result fits.
+  Time skip_run(const Piece* conflict, Time pos, Time wcet, Time cap) const;
 
   void add_impl(Time start, Time len, TaskInstance owner);
   void insert_piece(Piece piece);

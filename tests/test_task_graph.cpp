@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+
 #include "lbmem/model/task_graph.hpp"
 #include "lbmem/util/check.hpp"
 
@@ -111,6 +115,83 @@ TEST(TaskGraph, FindByName) {
   g.freeze();
   EXPECT_EQ(g.find("beta"), 1);
   EXPECT_THROW(g.find("gamma"), ModelError);
+}
+
+/// The ModelError message \p fn throws, or "" if it does not throw.
+template <typename Fn>
+std::string model_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TaskGraph, DuplicateMessagesUnchanged) {
+  TaskGraph g;
+  const TaskId a = g.add_task("a", 4, 1, 1);
+  const TaskId b = g.add_task("b", 8, 1, 1);
+  EXPECT_EQ(model_error([&] { g.add_task("a", 8, 1, 1); }),
+            "duplicate task name: a");
+  // The duplicate check still precedes the shape checks.
+  EXPECT_EQ(model_error([&] { g.add_task("b", 0, 1, 1); }),
+            "duplicate task name: b");
+  g.add_dependence(a, b);
+  EXPECT_EQ(model_error([&] { g.add_dependence(a, b); }),
+            "duplicate dependence a -> b");
+  // The reverse edge is a different key.
+  EXPECT_NO_THROW(g.add_dependence(b, a));
+  EXPECT_EQ(g.find("a"), a);
+  EXPECT_EQ(g.find("b"), b);
+}
+
+TEST(TaskGraph, RejectedAddReservesNothing) {
+  TaskGraph g;
+  EXPECT_THROW(g.add_task("t", 0, 1, 1), ModelError);   // bad period
+  EXPECT_THROW(g.add_task("t", 4, 5, 1), ModelError);   // wcet > period
+  EXPECT_THROW(g.add_task("t", 4, 1, -1), ModelError);  // negative memory
+  EXPECT_EQ(g.try_find("t"), std::nullopt);
+  const TaskId t = g.add_task("t", 4, 1, 1);
+  EXPECT_EQ(t, 0);
+  EXPECT_EQ(g.find("t"), t);
+  const TaskId u = g.add_task("u", 8, 1, 1);
+  EXPECT_THROW(g.add_dependence(t, u, 0), ModelError);  // bad data size
+  EXPECT_NO_THROW(g.add_dependence(t, u));
+  EXPECT_EQ(g.dependence_count(), 1u);
+}
+
+TEST(TaskGraph, CopiedGraphResolvesEveryName) {
+  // The online engine deep-copies graphs (Rebalancer::adopt); the copy's
+  // indexes must not refer back to the original.
+  std::unique_ptr<TaskGraph> copy;
+  std::unique_ptr<TaskGraph> unfrozen_copy;
+  {
+    TaskGraph g;
+    for (int i = 0; i < 50; ++i) {
+      g.add_task("task" + std::to_string(i), 4 << (i % 3), 1, 1);
+    }
+    g.add_dependence(0, 1);
+    unfrozen_copy = std::make_unique<TaskGraph>(g);
+    g.freeze();
+    copy = std::make_unique<TaskGraph>(g);
+  }
+  for (TaskId t = 0; t < static_cast<TaskId>(copy->task_count()); ++t) {
+    EXPECT_EQ(copy->find("task" + std::to_string(t)), t);
+    EXPECT_EQ(copy->try_find("task" + std::to_string(t)), t);
+  }
+  EXPECT_EQ(copy->try_find("task50"), std::nullopt);
+  EXPECT_THROW(unfrozen_copy->add_task("task7", 4, 1, 1), ModelError);
+  EXPECT_THROW(unfrozen_copy->add_dependence(0, 1), ModelError);
+  EXPECT_NO_THROW(unfrozen_copy->add_dependence(1, 2));
+}
+
+TEST(TaskGraph, FindMissingThrows) {
+  TaskGraph g;
+  g.add_task("alpha", 4, 1, 1);
+  EXPECT_EQ(model_error([&] { (void)g.find("beta"); }), "no task named beta");
+  EXPECT_EQ(g.try_find("beta"), std::nullopt);
+  EXPECT_EQ(g.try_find("alpha"), 0);
 }
 
 TEST(TaskGraph, SlowConsumerGathersN) {

@@ -4,12 +4,15 @@
 /// force), and the bucket index is audited with check_index_integrity()
 /// after every mutation. Hyper-periods are chosen to exercise one-bucket
 /// timelines, the kMaxBuckets ceiling, and sparse giant circles where most
-/// buckets stay empty.
+/// buckets stay empty. Crowded layouts check earliest_fit's busy-run skip
+/// and its `latest` bound against a start-by-start search.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lbmem/sched/timeline.hpp"
@@ -25,7 +28,15 @@ class NaiveTimeline {
   explicit NaiveTimeline(Time h) : h_(h) {}
 
   bool fits(Time start, Time len) const {
-    return !conflicting_owner(start, len).has_value();
+    const Time pos = mod_floor(start, h_);
+    const auto overlaps = [&](Time a, Time b) {  // non-wrapping [a, b)
+      return std::any_of(entries_.begin(), entries_.end(),
+                         [&](const Entry& e) {
+                           return e.pos < b && a < e.pos + e.len;
+                         });
+    };
+    if (pos + len <= h_) return !overlaps(pos, pos + len);
+    return !overlaps(pos, h_) && !overlaps(0, pos + len - h_);
   }
 
   std::optional<TaskInstance> conflicting_owner(Time start, Time len) const {
@@ -114,6 +125,28 @@ class NaiveTimeline {
   std::vector<Entry> entries_;
 };
 
+/// earliest_fit with and without a `latest` bound, against the oracle.
+/// The bounded result must equal the unbounded one when that is <= latest
+/// and be std::nullopt otherwise.
+void expect_fit(const ProcTimeline& timeline, const NaiveTimeline& naive,
+                Time lb, Time period, Time wcet, InstanceIdx n, Rng& rng) {
+  SCOPED_TRACE("lb=" + std::to_string(lb) + " T=" + std::to_string(period) +
+               " E=" + std::to_string(wcet) + " n=" + std::to_string(n));
+  const auto expected = naive.earliest_fit(lb, period, wcet, n);
+  ASSERT_EQ(timeline.earliest_fit(lb, period, wcet, n), expected);
+  std::vector<Time> bounds = {lb - 1 - rng.uniform(0, period), lb - 1, lb,
+                              lb + rng.uniform(0, period - 1),
+                              lb + period - 1, ProcTimeline::kNoLatest};
+  if (expected) {
+    bounds.insert(bounds.end(), {*expected - 1, *expected, *expected + 1});
+  }
+  for (const Time latest : bounds) {
+    ASSERT_EQ(timeline.earliest_fit(lb, period, wcet, n, latest),
+              expected && *expected <= latest ? expected : std::nullopt)
+        << "latest=" << latest;
+  }
+}
+
 void churn(Time h, std::uint64_t seed, int steps) {
   SCOPED_TRACE("H=" + std::to_string(h) + " seed=" + std::to_string(seed));
   ProcTimeline timeline(h);
@@ -159,8 +192,7 @@ void churn(Time h, std::uint64_t seed, int steps) {
       const auto n = static_cast<InstanceIdx>(h / period);
       const Time wcet = rng.uniform(1, std::min<Time>(period, 5));
       const Time lb = rng.uniform(0, period - 1);
-      ASSERT_EQ(timeline.earliest_fit(lb, period, wcet, n),
-                naive.earliest_fit(lb, period, wcet, n));
+      expect_fit(timeline, naive, lb, period, wcet, n, rng);
     }
     ASSERT_TRUE(timeline.check_index_integrity());
     ASSERT_EQ(timeline.piece_count(), naive.piece_count());
@@ -188,6 +220,148 @@ TEST(ProcTimelineBuckets, SparseGiantCircle) {
 TEST(ProcTimelineBuckets, DenseSmallCircle) {
   // High occupancy forces long probe chains and frequent rejects.
   churn(/*h=*/48, /*seed=*/6, /*steps=*/800);
+}
+
+/// Crowded circle: busy runs of up to 40 pieces whose inner gaps are 0 or
+/// exactly gap_wcet - 1 (too short for an instance of gap_wcet), separated
+/// by gaps of exactly gap_wcet or a little more. The layout starts at a
+/// random offset, so runs and single intervals wrap past H.
+void fill_crowded(ProcTimeline& timeline, NaiveTimeline& naive, Time h,
+                  Time gap_wcet, Rng& rng) {
+  const Time origin = rng.uniform(0, h - 1);
+  Time x = origin;
+  TaskId owner = 0;
+  while (true) {
+    const std::int64_t run = rng.uniform(1, 40);
+    for (std::int64_t i = 0; i < run; ++i) {
+      const Time len = rng.uniform(1, 6);
+      if (x + len > origin + h) return;  // would reach the first piece
+      timeline.add(x, len, TaskInstance{owner, 0});
+      naive.add(x, len, TaskInstance{owner, 0});
+      ++owner;
+      x += len + (i + 1 == run                ? 0
+                  : rng.uniform(0, 1) == 0 ? 0
+                                           : gap_wcet - 1);
+    }
+    x += rng.uniform(0, 2) == 0 ? gap_wcet + rng.uniform(1, 3) : gap_wcet;
+  }
+}
+
+void crowded(Time h, std::uint64_t seed, int layouts) {
+  SCOPED_TRACE("H=" + std::to_string(h) + " seed=" + std::to_string(seed));
+  Rng rng(seed);
+  for (int layout = 0; layout < layouts; ++layout) {
+    ProcTimeline timeline(h);
+    NaiveTimeline naive(h);
+    const Time gap_wcet = rng.uniform(2, 6);
+    fill_crowded(timeline, naive, h, gap_wcet, rng);
+    ASSERT_TRUE(timeline.check_index_integrity());
+    ASSERT_EQ(timeline.piece_count(), naive.piece_count());
+    // n == 1 with period == H, n == 1 with a shorter period, and several
+    // instances spaced H/n apart; WCETs straddle the exact-gap boundary.
+    const std::vector<std::pair<Time, InstanceIdx>> shapes = {
+        {h, 1}, {h / 2, 1}, {h / 2, 2}, {h / 4, 4}};
+    for (const auto& [period, n] : shapes) {
+      for (const Time wcet : {gap_wcet - 1, gap_wcet, gap_wcet + 1}) {
+        const Time lb = rng.uniform(0, 2 * h - 1);
+        expect_fit(timeline, naive, lb, period, wcet, n, rng);
+      }
+    }
+  }
+}
+
+TEST(ProcTimelineBuckets, CrowdedRunsSpanManyBuckets) {
+  // Bucket width 4 and 16: a 40-piece run crosses dozens of buckets.
+  crowded(/*h=*/1024, /*seed=*/7, /*layouts=*/12);
+  crowded(/*h=*/4096, /*seed=*/8, /*layouts=*/4);
+}
+
+TEST(ProcTimelineBuckets, CrowdedSmallCircles) {
+  // Width-1 buckets; runs often cover most of the circle.
+  crowded(/*h=*/96, /*seed=*/9, /*layouts=*/40);
+  crowded(/*h=*/256, /*seed=*/10, /*layouts=*/20);
+}
+
+TEST(ProcTimelineBuckets, GapOfExactlyWcet) {
+  // Pieces of length 3 at 0, 5, 10, ...: every gap is 2, except one of 3
+  // left after the piece at 40 (the next one starts at 46).
+  const Time h = 64;
+  ProcTimeline tl(h);
+  NaiveTimeline naive(h);
+  TaskId owner = 0;
+  for (Time x = 0; x + 3 <= h; x += (x == 40 ? 6 : 5)) {
+    tl.add(x, 3, TaskInstance{owner, 0});
+    naive.add(x, 3, TaskInstance{owner++, 0});
+  }
+  EXPECT_EQ(tl.earliest_fit(0, h, 3, 1), 43);   // only the gap of 3 fits
+  EXPECT_EQ(tl.earliest_fit(0, h, 2, 1), 3);    // gaps of 2 fit wcet 2
+  EXPECT_EQ(tl.earliest_fit(44, h, 3, 1), 43 + h);
+  EXPECT_EQ(tl.earliest_fit(0, h, 4, 1), std::nullopt);
+  EXPECT_EQ(tl.earliest_fit(0, h, 3, 1, 42), std::nullopt);
+  EXPECT_EQ(tl.earliest_fit(0, h, 3, 1, 43), 43);
+  Rng rng(11);
+  for (Time lb = 0; lb < h; ++lb) {
+    for (const Time wcet : {1, 2, 3, 4}) {
+      expect_fit(tl, naive, lb, h, wcet, 1, rng);
+      expect_fit(tl, naive, lb, h / 2, wcet, 2, rng);
+    }
+  }
+}
+
+TEST(ProcTimelineBuckets, RunWrapsPastH) {
+  // One run with gaps of 1 from 90 across H to 6, the interval at 98
+  // itself wrapping: a wcet-2 instance probed inside it must land at 6.
+  const Time h = 100;
+  ProcTimeline tl(h);
+  NaiveTimeline naive(h);
+  const std::vector<std::pair<Time, Time>> pieces = {
+      {90, 3}, {94, 3}, {98, 4}, {3, 3}};
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const TaskInstance owner{static_cast<TaskId>(i), 0};
+    tl.add(pieces[i].first, pieces[i].second, owner);
+    naive.add(pieces[i].first, pieces[i].second, owner);
+  }
+  EXPECT_EQ(tl.earliest_fit(91, h, 2, 1), 106);
+  EXPECT_EQ(tl.earliest_fit(91, h, 2, 1, 105), std::nullopt);
+  EXPECT_EQ(tl.earliest_fit(91, h, 2, 1, 106), 106);
+  Rng rng(12);
+  for (Time lb = 0; lb < 2 * h; ++lb) {
+    for (const Time wcet : {1, 2, 3}) {
+      expect_fit(tl, naive, lb, h, wcet, 1, rng);
+      expect_fit(tl, naive, lb, h / 2, wcet, 2, rng);
+    }
+  }
+}
+
+TEST(ProcTimelineBuckets, NoRoomAnywhere) {
+  // A run that closes on itself around the whole circle, and a single
+  // piece covering all of it: the run walk must stop at the search limit.
+  const Time h = 40;
+  ProcTimeline tl(h);
+  NaiveTimeline naive(h);
+  for (Time x = 0; x < h; x += 4) {
+    tl.add(x, 3, TaskInstance{static_cast<TaskId>(x), 0});
+    naive.add(x, 3, TaskInstance{static_cast<TaskId>(x), 0});
+  }
+  Rng rng(13);
+  for (Time lb = 0; lb < h; ++lb) {
+    EXPECT_EQ(tl.earliest_fit(lb, h, 2, 1), std::nullopt);
+    expect_fit(tl, naive, lb, h, 1, 1, rng);
+    expect_fit(tl, naive, lb, h / 4, 2, 4, rng);
+  }
+  ProcTimeline full(h);
+  full.add(7, h, TaskInstance{0, 0});
+  EXPECT_EQ(full.earliest_fit(0, h, 1, 1), std::nullopt);
+  EXPECT_EQ(full.earliest_fit(13, h / 2, 1, 2), std::nullopt);
+}
+
+TEST(ProcTimelineBuckets, LatestBeforeLowerBound) {
+  // latest < lb: nothing to search, even on an empty circle.
+  const ProcTimeline empty(32);
+  EXPECT_EQ(empty.earliest_fit(5, 32, 1, 1), 5);
+  EXPECT_EQ(empty.earliest_fit(5, 32, 1, 1, 5), 5);
+  EXPECT_EQ(empty.earliest_fit(5, 32, 1, 1, 4), std::nullopt);
+  EXPECT_EQ(empty.earliest_fit(5, 8, 2, 4, -100), std::nullopt);
 }
 
 TEST(ProcTimelineBuckets, WrapHeavy) {
