@@ -1,29 +1,21 @@
 /// \file bench_parallel.cpp
-/// \brief Threading scaling sweep behind the `threads` knobs (DESIGN.md
-/// F19/F20), recorded into BENCH_parallel.json by tools/bench_record.sh.
+/// \brief Threading scaling sweep behind the `threads` knob (DESIGN.md
+/// F20), recorded into BENCH_parallel.json by tools/bench_record.sh.
 ///
-/// Two independent layers, each swept over thread counts 1/2/4/8:
-///  - BM_SweepThreads: ScenarioRunner farming (instance x solver) cells
-///    onto the pool — the embarrassingly parallel layer, expected to scale
-///    near-linearly up to the core count;
-///  - BM_BalancerThreads: one LoadBalancer::balance with parallel
-///    destination-candidate evaluation on a wide architecture — the
-///    fine-grained layer, whose per-block fan-out is bounded by M, so the
-///    useful thread count tracks the processor count, not the core count.
-/// Both layers produce bit-identical results for every thread count
-/// (enforced by tests/test_parallel_equivalence.cpp); each benchmark
-/// exports its result signature as counters so a scaling run doubles as a
-/// cross-thread-count consistency check in the recorded JSON.
+/// BM_SweepThreads sweeps thread counts 1/2/4/8 over ScenarioRunner
+/// farming (instance x solver) cells onto the pool — an embarrassingly
+/// parallel layer, expected to scale near-linearly up to the core count.
+/// The report is bit-identical for every thread count (enforced by
+/// tests/test_parallel_equivalence.cpp); the benchmark exports its result
+/// signature as a counter so a scaling run doubles as a cross-thread-count
+/// consistency check in the recorded JSON.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
-#include <stdexcept>
-
 #include "lbmem/api/scenario.hpp"
 #include "lbmem/gen/suites.hpp"
-#include "lbmem/lb/load_balancer.hpp"
 
 namespace {
 
@@ -66,54 +58,7 @@ void BM_SweepThreads(benchmark::State& state) {
   state.counters["makespan_sum"] = makespan_sum;
 }
 
-const Schedule& wide_input() {
-  // The instance (not just its Schedule) must stay alive: the schedule
-  // references the suite-owned TaskGraph.
-  static const SuiteInstance input = [] {
-    SuiteSpec spec;
-    spec.params.tasks = 800;
-    spec.params.period_levels = 3;
-    spec.params.edge_probability = 0.1;
-    spec.params.max_in_degree = 2;
-    spec.params.intended_processors = 24;
-    spec.processors = 24;
-    spec.comm_cost = 2;
-    spec.count = 1;
-    spec.base_seed = 78'000;
-    spec.max_seed_attempts = 400;
-    auto suite = make_suite(spec);
-    if (suite.empty()) {
-      throw std::runtime_error("no schedulable N=800/M=24 instance");
-    }
-    return std::move(suite.front());
-  }();
-  return input.schedule;
-}
-
-/// The balancer layer: parallel destination-candidate evaluation inside
-/// bound-and-prune selection, on an architecture wide enough that the
-/// per-block candidate list (M-1 destinations) keeps the pool busy.
-void BM_BalancerThreads(benchmark::State& state) {
-  const Schedule& input = wide_input();
-  BalanceOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  const LoadBalancer balancer(options);
-  Time makespan = 0;
-  for (auto _ : state) {
-    const BalanceResult result = balancer.balance(input);
-    benchmark::DoNotOptimize(result.stats.gain_total);
-    makespan = result.stats.makespan_after;
-  }
-  state.counters["makespan"] = static_cast<double>(makespan);
-}
-
 BENCHMARK(BM_SweepThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BalancerThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -124,8 +124,7 @@ void BM_FailureRecovery(benchmark::State& state) {
   rob.sim.hyperperiods = kHyperperiods;
   rob.replications = 1;
   rob.perturb = noisy_spec();
-  rob.perturb.fail_proc = 0;
-  rob.perturb.fail_at = h / 2;
+  rob.perturb.failures = {{0, h / 2}};
   int recovered = 0;
   for (auto _ : state) {
     const RobustnessReport report = run_robustness(sched, rob);

@@ -1,5 +1,7 @@
 #include "lbmem/api/scenario.hpp"
 
+#include <algorithm>
+
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
 #include "lbmem/sim/robustness.hpp"
@@ -39,7 +41,7 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
   // builds its own Problem from the shared-immutable suite instance,
   // solves it, and fills exactly its own pre-sized slot — so the cell
   // order (instance-major) and everything derived from it are identical
-  // for every thread count (DESIGN.md F19/F20). push_back would be both
+  // for every thread count (DESIGN.md F20). push_back would be both
   // a data race and an ordering leak under the pool.
   const std::size_t width = solvers.size();
   report.cells.assign(suite.size() * width, ScenarioCell{});
@@ -107,9 +109,13 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
       cell.sim_violations = r.total_violations;
     }
   };
-  const int threads = ThreadPool::resolve(spec.threads);
-  if (threads > 1 && report.cells.size() > 1) {
-    ThreadPool pool(threads);
+  // A team larger than the cell count would only spawn idle workers (and
+  // an absurd --threads would exhaust the process's thread limit).
+  const std::size_t threads = std::min(
+      static_cast<std::size_t>(ThreadPool::resolve(spec.threads)),
+      report.cells.size());
+  if (threads > 1) {
+    ThreadPool pool(static_cast<int>(threads));
     pool.parallel_for(report.cells.size(), solve_cell);
   } else {
     for (std::size_t idx = 0; idx < report.cells.size(); ++idx) {

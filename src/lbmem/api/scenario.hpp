@@ -24,14 +24,12 @@ struct ScenarioSpec {
   /// Registry names to run, in this order; empty = every registered
   /// solver in registration order.
   std::vector<std::string> solvers;
-  /// Worker threads for the (instance x solver) sweep (DESIGN.md F19/F20):
+  /// Worker threads for the (instance x solver) sweep (DESIGN.md F20):
   /// 1 (the default) runs the cells sequentially, 0 resolves to the
-  /// hardware concurrency. Every cell solves its own Problem and writes
-  /// its own pre-sized slot, so the report — cell order, summary, JSON —
-  /// is identical for every thread count (wall-clock fields aside, which
-  /// are never deterministic). Solvers keep their own registered `threads`
-  /// configuration; the registry defaults are single-threaded, so sweeping
-  /// them in parallel does not oversubscribe.
+  /// hardware concurrency; the team never outnumbers the cells. Every cell
+  /// solves its own Problem and writes its own pre-sized slot, so the
+  /// report — cell order, summary, JSON — is identical for every thread
+  /// count (wall-clock fields aside, which are never deterministic).
   int threads = 1;
   /// Robustness mode: run this many seeded perturbed replications of the
   /// discrete-event executor per *feasible* cell, under suite.perturb's

@@ -91,21 +91,10 @@ struct BalanceOptions {
   /// rebalance() run folds its BalanceStats into this registry once at
   /// the end of the run — the candidate-evaluation hot loop records
   /// nothing, so the zero-allocation and determinism guarantees are
-  /// untouched. Deterministic figures land in the registry's
-  /// Deterministic class; the three scan-schedule-dependent prune
-  /// counters (see the BalanceStats comment) and the wall-clock
-  /// histogram land in Timing. The registry must outlive the balancer.
+  /// untouched. Every figure lands in the registry's Deterministic class
+  /// except the wall-clock histogram, which lands in Timing. The registry
+  /// must outlive the balancer.
   obs::Registry* metrics = nullptr;
-  /// Worker threads for destination-candidate evaluation (DESIGN.md F19).
-  /// 1 (the default) keeps the classic sequential bound-and-prune scan
-  /// byte-for-byte; 0 resolves to the hardware concurrency; >= 2 engages
-  /// the deterministic parallel pipeline — same schedules, gains and
-  /// moves as the sequential scan for every thread count, and the
-  /// pruning-observability counters identical for every thread count
-  /// >= 2 (they differ from the threads=1 scan, whose improving incumbent
-  /// prunes harder; see BalanceStats). Trace-recording runs evaluate
-  /// exhaustively and ignore this knob.
-  int threads = 1;
 };
 
 /// Scope of an incremental warm-start rebalance (DESIGN.md F12). Scoped
@@ -164,13 +153,8 @@ struct BalanceStats {
   // one of the first two counters increments, so their sum equals
   // blocks * open processors. Trace-recording runs evaluate exhaustively
   // (the trace is the full decision record), leaving both prune counters 0.
-  // The invariant holds for every BalanceOptions::threads value, but the
-  // split between the three counters is a property of the scan schedule:
-  // the threads=1 scan prunes against an improving incumbent, the parallel
-  // pipeline (threads >= 2) against the fixed home incumbent (DESIGN.md
-  // F19) — so counters match across parallel thread counts, not between
-  // sequential and parallel runs. Everything else in this struct is
-  // identical for every thread count.
+  // Like every field here but wall_seconds, the counters are a pure
+  // function of the input.
   std::int64_t dest_evaluated = 0;        ///< exact evaluations started
   std::int64_t dest_skipped_by_bound = 0; ///< skipped: bound cannot win
   std::int64_t dest_cut_by_incumbent = 0; ///< evaluations aborted mid-scan

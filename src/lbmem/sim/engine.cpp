@@ -99,7 +99,6 @@ SimMetrics simulate_perturbed(const Schedule& sched, const SimOptions& options,
   const bool stall_on = perturb.stall_prob > 0.0 && perturb.stall_ticks > 0;
 
   // Permanent failures: per-processor first fail tick (sentinel: never).
-  // all_failures() already merged the legacy pair with `failures`.
   constexpr Time kNever = std::numeric_limits<Time>::max();
   std::vector<Time> fail_time(
       static_cast<std::size_t>(arch.processor_count()), kNever);

@@ -53,7 +53,7 @@ SimMetrics simulate(const Schedule& sched, const SimOptions& options = {});
 /// window: repetition w runs at absolute time offset
 /// (first_hyperperiod + w) * H, draws its noise from the absolute
 /// repetition index, and compares dispatches against the absolute
-/// perturb.fail_at — so a run stitched from consecutive windows (the
+/// fail times — so a run stitched from consecutive windows (the
 /// robustness harness swaps in a repaired schedule mid-run) perturbs each
 /// instance exactly as one continuous run would.
 SimMetrics simulate_perturbed(const Schedule& sched, const SimOptions& options,

@@ -7,9 +7,8 @@
 /// static schedule: bounded multiplicative WCET overruns, message-delay
 /// inflation and FIFO bus contention, transient processor stalls,
 /// correlated noise bursts (a per-channel Gilbert–Elliott process), and
-/// permanent ProcessorFailures — one via the legacy fail_proc/fail_at
-/// pair, any number via `failures`. Dispatch stays time-triggered (the
-/// strict-periodic starts are fixed by the schedule table), so every
+/// any number of permanent ProcessorFailures. Dispatch stays time-triggered
+/// (the strict-periodic starts are fixed by the schedule table), so every
 /// deviation surfaces as a measured effect — overlap violations, late data,
 /// deadline misses, span inflation — rather than a shifted timeline.
 ///
@@ -112,12 +111,7 @@ struct PerturbSpec {
   GilbertElliott wcet_burst;
   GilbertElliott comm_burst;
   GilbertElliott stall_burst;
-  /// Legacy single permanent failure: instances placed on fail_proc whose
-  /// dispatch is at or after fail_at are lost (no execution, no data).
-  ProcId fail_proc = kNoProc;
-  Time fail_at = 0;
-  /// Additional concurrent permanent failures with independent fail
-  /// times. all_failures() merges these with the legacy pair.
+  /// Concurrent permanent failures with independent fail times.
   std::vector<ProcessorFault> failures;
 
   /// Any timing noise configured (jitter, stalls, or bus contention).
@@ -132,15 +126,12 @@ struct PerturbSpec {
            (stall_prob > 0.0 && stall_ticks > 0 && stall_burst.active());
   }
   /// Any permanent processor failure configured.
-  bool any_failure() const {
-    return fail_proc != kNoProc || !failures.empty();
-  }
+  bool any_failure() const { return !failures.empty(); }
   /// Anything at all to inject (noise or a failure).
   bool active() const { return any_noise() || any_failure(); }
 
-  /// Every injected failure — the legacy fail_proc/fail_at pair plus
-  /// `failures` — sorted by (at, proc) and deduplicated per processor
-  /// (the earliest fail time wins; a processor only dies once).
+  /// `failures` sorted by (at, proc) and deduplicated per processor (the
+  /// earliest fail time wins; a processor only dies once).
   std::vector<ProcessorFault> all_failures() const;
 
   /// The spec for replication \p rep: same knobs, a seed derived by value

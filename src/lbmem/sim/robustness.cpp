@@ -225,8 +225,6 @@ RobustnessReport run_robustness(const Schedule& schedule,
       for (int r = 0; r < options.replications; ++r) {
         LBMEM_TRACE_SPAN("robustness.replication");
         PerturbSpec spec = base.replication(r);
-        spec.fail_proc = kNoProc;
-        spec.fail_at = 0;
         spec.failures = live;
         const SimMetrics m = simulate_perturbed(*active, seg, spec, seg_start);
         Accum& a = acc[static_cast<std::size_t>(r)];

@@ -17,12 +17,21 @@ int ThreadPool::resolve(int threads) {
 
 ThreadPool::ThreadPool(int threads) : thread_count_(resolve(threads)) {
   workers_.reserve(static_cast<std::size_t>(thread_count_ - 1));
-  for (int i = 1; i < thread_count_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (int i = 1; i < thread_count_; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A failed spawn (e.g. at the system's thread limit) must not leave the
+    // started workers waiting on members that are about to be destroyed.
+    stop_workers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;

@@ -1,7 +1,7 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief Reusable work-queue thread pool behind the library's `threads`
-/// knobs (DESIGN.md F19/F20): `parallel_for(count, body)` runs body(i)
+/// \brief Reusable work-queue thread pool behind the scenario sweep's
+/// `threads` knob (DESIGN.md F20): `parallel_for(count, body)` runs body(i)
 /// for every i in [0, count) across the pool's workers plus the calling
 /// thread, and blocks until every index completed.
 ///
@@ -53,13 +53,14 @@ class ThreadPool {
   /// allows 0 for "unknown").
   static int hardware_threads();
 
-  /// The knob contract shared by every `threads` option: 0 (and any
-  /// negative value) resolves to hardware_threads(), anything else is
-  /// taken literally.
+  /// The `threads` knob contract: 0 (and any negative value) resolves to
+  /// hardware_threads(), anything else is taken literally.
   static int resolve(int threads);
 
  private:
   void worker_loop();
+  /// Wake every worker with stop_ set and join it.
+  void stop_workers();
   /// Claim and run indices of the current job; records the first error.
   void drain(const std::function<void(std::size_t)>& body, std::size_t count);
 

@@ -219,8 +219,7 @@ TEST(PerturbSim, FailedProcessorLosesItsDispatches) {
   const TaskGraph g = figure1_graph();
   const Schedule s = figure1_system(g);
   PerturbSpec spec;
-  spec.fail_proc = 0;  // a's processor dies before anything runs
-  spec.fail_at = 0;
+  spec.failures = {{0, 0}};  // a's processor dies before anything runs
   const SimMetrics m = simulate_perturbed(s, SimOptions{1, true}, spec, 0);
   EXPECT_EQ(m.lost_instances, 4);  // a0..a3
   EXPECT_EQ(m.data_violations, 4);  // b[0] waits for four data forever

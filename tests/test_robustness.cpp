@@ -65,8 +65,7 @@ TEST(Robustness, MidRunFailureRecoversThroughRebalancer) {
   RobustnessOptions rob;
   rob.sim.hyperperiods = 2;
   rob.replications = 2;
-  rob.perturb.fail_proc = 1;
-  rob.perturb.fail_at = h / 2;
+  rob.perturb.failures = {{1, h / 2}};
   const RobustnessReport report = run_robustness(*outcome.schedule, rob);
   EXPECT_TRUE(report.failure_injected);
   ASSERT_TRUE(report.recovered) << report.repair_detail;
@@ -97,8 +96,7 @@ TEST(Robustness, RejectedRepairDegradesHard) {
   RobustnessOptions rob;
   rob.sim.hyperperiods = 2;
   rob.replications = 1;
-  rob.perturb.fail_proc = 1;
-  rob.perturb.fail_at = 2;
+  rob.perturb.failures = {{1, 2}};
   rob.repair.balance.enforce_memory_capacity = true;
   const RobustnessReport report = run_robustness(s, rob);
   EXPECT_TRUE(report.failure_injected);
@@ -137,8 +135,7 @@ TEST(Robustness, FailAtOutsideTheWindowIsRejected) {
   const Time h = outcome.schedule->graph().hyperperiod();
   RobustnessOptions rob;
   rob.sim.hyperperiods = 2;
-  rob.perturb.fail_proc = 0;
-  rob.perturb.fail_at = 2 * h;  // first tick past the simulated span
+  rob.perturb.failures = {{0, 2 * h}};  // first tick past the simulated span
   EXPECT_THROW(run_robustness(*outcome.schedule, rob), Error);
 }
 

@@ -1,4 +1,4 @@
-/// The work-queue pool behind every `threads` knob (DESIGN.md F19/F20):
+/// The work-queue pool behind the `threads` knob (DESIGN.md F20):
 /// parallel_for must run every index exactly once, propagate exceptions,
 /// stay reusable across jobs, and degenerate to an inline loop when the
 /// team is a single thread.

@@ -129,10 +129,9 @@ constexpr FlagSpec kFlags[] = {
      "summary reports destinations evaluated/skipped by bound",
      kHeuristicDriven},
     {"threads", "N",
-     "worker threads, 0 = hardware concurrency; compare parallelizes the "
-     "(instance x solver) sweep, balance and serve the destination scan "
-     "(balance implies --trace=off) — results are identical for every N",
-     kBalance | kCompare | kServe},
+     "worker threads for the (instance x solver) sweep, 0 = hardware "
+     "concurrency — results are identical for every N",
+     kCompare},
     {"hyperperiods", "K", "hyper-periods to simulate", kSimulate},
     {"local-buffers", "on|off",
      "count same-processor producer->consumer data in buffer occupancy",
@@ -385,15 +384,14 @@ struct CliOptions {
   /// evaluates every destination exhaustively; --trace=off runs the pruned
   /// production path (bound-and-prune selection) — decisions are identical.
   bool trace = true;
-  /// --threads=N for compare (sweep-level) and balance (balancer-level);
-  /// 0 resolves to the hardware concurrency.
+  /// --threads=N for the compare sweep; 0 resolves to the hardware
+  /// concurrency.
   int threads = 1;
   // set-tracking for cross-flag validation:
   bool policy_set = false;
   bool trace_set = false;
   bool mode_set = false;
   bool penalty_set = false;
-  bool threads_set = false;
   bool perturb_knob_set = false;  ///< any perturbation knob besides --perturb
   bool fail_proc_set = false;
   bool fail_at_set = false;
@@ -591,7 +589,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
       } else if (key == "count") {
         options.count = std::stoi(value);
       } else if (key == "threads") {
-        options.threads_set = true;
         options.threads = std::stoi(value);
         if (options.threads < 0) {
           usage("--threads takes a count >= 1, or 0 for the hardware "
@@ -662,10 +659,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
     if (options.trace_set) {
       usage("--trace applies to the heuristic path only, not to --algo runs");
     }
-    if (options.threads_set) {
-      usage("--threads configures the heuristic's destination scan; --algo "
-            "runs use the solver's registered configuration");
-    }
   }
   // Perturbation knobs only mean something under --perturb: a silent
   // no-op --jitter would read as "I measured robustness" when nothing
@@ -694,12 +687,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
   if (options.adaptive && !options.perturb) {
     usage("--adaptive ranks candidates by perturbed miss rate; add "
           "--perturb");
-  }
-  if (cmd.bit == kBalance && options.threads_set && options.trace_set &&
-      options.trace) {
-    usage("--trace=on records the full decision trace, which evaluates "
-          "destinations exhaustively on one thread; drop it or use "
-          "--trace=off with --threads");
   }
   if (cmd.bit == kReplay && !options.resolver.empty()) {
     if (options.mode_set && options.incremental) {
@@ -863,15 +850,7 @@ BalanceOptions make_balance_options(const CliOptions& options,
   balance.policy = options.policy;
   balance.enforce_memory_capacity = options.capacity != kUnlimitedMemory;
   balance.record_trace = options.trace;
-  balance.threads = options.threads;
   balance.metrics = metrics;
-  if (options.threads_set && !options.trace_set) {
-    // Tracing evaluates every destination exhaustively on one thread;
-    // asking for threads without an explicit --trace choice means "run
-    // the parallel scan", so the trace default flips off (decisions are
-    // identical either way). --trace=on --threads is rejected upstream.
-    balance.record_trace = false;
-  }
   return balance;
 }
 
@@ -1168,7 +1147,6 @@ int cmd_serve(const CliOptions& options) {
   online_options.balance.enforce_memory_capacity =
       options.capacity != kUnlimitedMemory;
   online_options.balance.migration_penalty = options.migration_penalty;
-  online_options.balance.threads = options.threads;
   online_options.metrics = obs.registry();
   online_options.degraded.enabled = options.degraded;
   Rebalancer system = Rebalancer::adopt(
