@@ -118,16 +118,10 @@ class Attempt {
   };
 
   /// Destination-invariant split of one member's external data-readiness
-  /// (paper Eq. 1): over external producers, the arrival is end + C unless
-  /// the producer sits on the candidate destination (then C = 0). So
-  /// ready(dest) = max over producer procs q != dest of A[q], maxed with
-  /// the colocated term B[dest], where A[q] is the per-proc max of
-  /// end + C and B[q] the per-proc max of plain end. We cache the top two
-  /// A values on distinct procs plus the (proc, end) pairs for B.
+  /// (RemoteArrivals): the remote top two plus the colocated (proc, end)
+  /// pairs, one per producer processor.
   struct MemberReady {
-    Time remote_top1 = 0;
-    ProcId remote_top1_proc = kNoProc;
-    Time remote_top2 = 0;
+    RemoteArrivals remote;
     std::uint32_t local_begin = 0;
     std::uint32_t local_end = 0;  // slice of local_arrivals_
   };
@@ -195,9 +189,9 @@ class Attempt {
     return is_affected(inst) && !instance_processed_[dense(inst)];
   }
 
-  /// Update the all-instances occupancy after a commit. Only instances
-  /// whose placement actually changed are touched: a zero-gain stay-at-home
-  /// (the common case at scale) costs nothing.
+  /// Update the all-instances occupancy after a commit and record the
+  /// instances whose placement actually changed (touched_): a zero-gain
+  /// stay-at-home (the common case at scale) costs nothing.
   void update_all_occ(ProcId dest, ProcId home, Time gain) {
     if (opts_.overlap_rule != OverlapRule::AllInstances) return;
     if (gain <= 0 && dest == home) return;  // nothing moved
@@ -217,11 +211,33 @@ class Attempt {
       const Time wcet = graph().task(inst.task).wcet;
       // Every committed placement should fit (evaluate() checked it), but
       // if one ever does not, drop the footprint rather than throw: the
-      // schedule itself then carries the overlap, the end-of-run validation
-      // rejects it, and the gain-disabled retry takes over gracefully.
-      // The fits() probe doubles as add_unchecked's safety proof.
-      if (occ.fits(start, wcet)) occ.add_unchecked(start, wcet, inst);
+      // schedule itself then carries the overlap, the end-of-run gate
+      // falls back to the full validation, which rejects it, and the
+      // gain-disabled retry takes over gracefully. The fits() probe
+      // doubles as add_unchecked's safety proof.
+      if (occ.fits(start, wcet)) {
+        occ.add_unchecked(start, wcet, inst);
+      } else {
+        footprint_dropped_ = true;
+      }
+      touched_.push_back(inst);
     }
+  }
+
+  /// The end-of-run retry gate (DESIGN.md F35): is_valid(sched_), computed
+  /// from the touched instances when the all-instances occupancy proves
+  /// exclusivity (every changed footprint fitted), else in full.
+  bool final_verdict() const {
+    if (opts_.overlap_rule != OverlapRule::AllInstances ||
+        footprint_dropped_) {
+      return is_valid(sched_);
+    }
+    const bool ok = is_valid_touched(sched_, touched_);
+#if LBMEM_TIMELINE_VERIFY
+    LBMEM_REQUIRE(ok == is_valid(sched_),
+                  "touched-set verdict disagrees with is_valid");
+#endif
+    return ok;
   }
 
   /// Occupancy consulted by overlap checks, per the configured rule.
@@ -270,6 +286,10 @@ class Attempt {
   Time member_cap_ = 0;
   Time block_start_ = 0;
   std::vector<DestinationScore> bounds_;  // per-pop candidate bounds
+
+  // ---- the final gate's inputs (AllInstances only; see final_verdict) ----
+  std::vector<TaskInstance> touched_;  // changed start or processor
+  bool footprint_dropped_ = false;     // some changed footprint did not fit
 };
 
 void Attempt::prepare_block(const Block& block) {
@@ -321,16 +341,7 @@ void Attempt::prepare_block(const Block& block) {
         const TaskInstance producer{dep.producer, range.first + i};
         const ProcId pp = sched_.proc(producer);
         const Time end = sched_.end(producer);
-        const Time remote = end + comm;
-        if (pp == mr.remote_top1_proc) {
-          mr.remote_top1 = std::max(mr.remote_top1, remote);
-        } else if (remote > mr.remote_top1) {
-          mr.remote_top2 = mr.remote_top1;
-          mr.remote_top1 = remote;
-          mr.remote_top1_proc = pp;
-        } else {
-          mr.remote_top2 = std::max(mr.remote_top2, remote);
-        }
+        mr.remote.add(pp, end + comm);
         // Fold the colocated term to one per-proc max so member_ready
         // rescans at most min(#procs, #producers) pairs per destination.
         bool merged = false;
@@ -357,13 +368,13 @@ void Attempt::prepare_block(const Block& block) {
     if (block.category == 1) {
       Time local_at_top1 = 0;
       for (std::uint32_t j = mr.local_begin; j < mr.local_end; ++j) {
-        if (local_arrivals_[j].first == mr.remote_top1_proc) {
+        if (local_arrivals_[j].first == mr.remote.top1_proc) {
           local_at_top1 = local_arrivals_[j].second;
           break;
         }
       }
       const Time min_ready =
-          std::min(std::max(mr.remote_top2, local_at_top1), mr.remote_top1);
+          std::min(std::max(mr.remote.top2, local_at_top1), mr.remote.top1);
       member_cap_ = std::min(
           member_cap_, layout_[member_ready_.size() - 1].base_start - min_ready);
     }
@@ -402,8 +413,7 @@ void Attempt::prepare_block(const Block& block) {
 
 Time Attempt::member_ready(std::size_t member_idx, ProcId dest) const {
   const MemberReady& mr = member_ready_[member_idx];
-  Time ready =
-      (dest == mr.remote_top1_proc) ? mr.remote_top2 : mr.remote_top1;
+  Time ready = mr.remote.at(dest);
   for (std::uint32_t i = mr.local_begin; i < mr.local_end; ++i) {
     if (local_arrivals_[i].first == dest) {
       ready = std::max(ready, local_arrivals_[i].second);
@@ -691,7 +701,7 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
     for (const QueueEntry& entry : order) {
       decide_block(entry.block, trace, stats, nullptr);
     }
-    return is_valid(sched_);
+    return final_verdict();
   }
 
   RequeueQueue queue;
@@ -714,7 +724,7 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
   // failing first attempt would otherwise pay for a full violation report
   // it immediately discards.
   LBMEM_TRACE_SPAN("lb.validate");
-  return is_valid(sched_);
+  return final_verdict();
 }
 
 /// Fold one run's BalanceStats into the registry (DESIGN.md F25): called

@@ -219,69 +219,46 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
 
   // Scratch hoisted out of the loop: a full-replace escalation re-places
   // every task, and a fresh allocation per task adds up.
+  const Architecture& arch = work.architecture();
   std::vector<Mem> resident;
+  std::vector<std::uint8_t> excluded;
+  PlacementScratch scratch;
+  PlacementPrefs prefs;
+  prefs.memory = stale;
+  prefs.excluded = &failed;
   for (const TaskId t : graph.topological_order()) {
     if (!dirty[static_cast<std::size_t>(t)]) continue;
     detach(t);
     const Task& task = graph.task(t);
     const InstanceIdx n = graph.instance_count(t);
 
-    // t's current residency per processor: the schedule still carries its
-    // stale assignment, so a capacity projection must not double-count it.
-    if (work.architecture().has_memory_limit()) {
-      resident.assign(
-          static_cast<std::size_t>(work.architecture().processor_count()), 0);
+    if (arch.has_memory_limit()) {
+      // t's current residency per processor: the schedule still carries its
+      // stale assignment, so a capacity projection must not double-count it.
+      resident.assign(static_cast<std::size_t>(arch.processor_count()), 0);
       for (InstanceIdx k = 0; k < n; ++k) {
         const ProcId p = work.proc(TaskInstance{t, k});
         if (p != kNoProc) resident[static_cast<std::size_t>(p)] += task.memory;
       }
-    }
-
-    ProcId best_proc = kNoProc;
-    Time best_start = 0;
-    for (ProcId p = 0;
-         p < work.architecture().processor_count(); ++p) {
-      if (failed[static_cast<std::size_t>(p)]) continue;
-      if (work.architecture().has_memory_limit() &&
-          work.memory_on(p) - resident[static_cast<std::size_t>(p)] +
-                  task.memory * static_cast<Mem>(n) >
-              work.architecture().memory_capacity()) {
-        continue;  // admitting t whole on p would overrun the capacity
-      }
-      // A start later than the best so far cannot win; ties still can.
-      const Time lb = precedence_lower_bound(work, t, p);
-      const auto start = occ[static_cast<std::size_t>(p)].earliest_fit(
-          lb, task.period, task.wcet, n,
-          best_proc == kNoProc ? ProcTimeline::kNoLatest : best_start);
-      if (!start) continue;
-      bool better = false;
-      if (best_proc == kNoProc) {
-        better = true;
-      } else if (*start != best_start) {
-        better = *start < best_start;
-      } else {
-        const ProcId pref = preferred[static_cast<std::size_t>(t)];
-        const bool cand_pref = (p == pref);
-        const bool best_pref = (best_proc == pref);
-        if (cand_pref != best_pref) {
-          better = cand_pref;
-        } else if (stale != nullptr) {
-          better = (*stale)[static_cast<std::size_t>(p)] <
-                   (*stale)[static_cast<std::size_t>(best_proc)];
-        } else {
-          better = work.memory_on(p) < work.memory_on(best_proc);
+      // Besides the failed processors, exclude every processor that
+      // admitting t whole would push over the capacity.
+      excluded = failed;
+      for (ProcId p = 0; p < arch.processor_count(); ++p) {
+        if (work.memory_on(p) - resident[static_cast<std::size_t>(p)] +
+                task.memory * static_cast<Mem>(n) >
+            arch.memory_capacity()) {
+          excluded[static_cast<std::size_t>(p)] = 1;
         }
       }
-      if (better) {
-        best_proc = p;
-        best_start = *start;
-      }
+      prefs.excluded = &excluded;
     }
-    if (best_proc == kNoProc) {
+    prefs.preferred = preferred[static_cast<std::size_t>(t)];
+    const auto placement = earliest_placement(work, occ, t, prefs, scratch);
+    if (!placement) {
       return "no feasible placement for task " + task.name;
     }
 
-    commit_whole_task(work, occ, t, best_proc, best_start);
+    commit_whole_task(work, occ, t, placement->proc, placement->start);
     repaired.push_back(t);
 
     // Cascade: a later start or a new processor can invalidate consumers.
@@ -306,7 +283,8 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
 
 /// Fresh candidate that re-places *every* task (hyper-period changes and
 /// the escalation path when a local repair is infeasible; DESIGN.md F13).
-/// Placement preferences come from the pre-event schedule, matched by name.
+/// Placement preferences come from the pre-event schedule, matched by name
+/// (by id when the graph is the pre-event one, as in count_migrations).
 Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
                                                        const Schedule& pre) {
   Rebalancer::Patched candidate{
@@ -316,6 +294,11 @@ Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
       static_cast<std::size_t>(pre.architecture().processor_count()),
       ProcTimeline(graph.hyperperiod()));
   candidate.dirty.assign(graph.task_count(), 1);
+  if (&graph == &pre.graph()) {
+    // No graph rebuild (WcetChange, ProcessorFailure): ids are the identity.
+    candidate.preferred = instance0_procs(pre);
+    return candidate;
+  }
   candidate.preferred.assign(graph.task_count(), kNoProc);
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
     if (const auto old = pre.graph().try_find(graph.task(t).name)) {

@@ -1,7 +1,6 @@
 #include "lbmem/sched/schedule.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "lbmem/util/check.hpp"
 
@@ -95,14 +94,6 @@ Time Schedule::data_ready(TaskInstance inst, ProcId p) const {
     }
   }
   return ready;
-}
-
-Time Schedule::min_data_ready(TaskInstance inst) const {
-  Time best = std::numeric_limits<Time>::max();
-  for (ProcId p = 0; p < arch_.processor_count(); ++p) {
-    best = std::min(best, data_ready(inst, p));
-  }
-  return best;
 }
 
 std::vector<TaskInstance> Schedule::instances_on(ProcId p) const {

@@ -10,6 +10,7 @@
 /// per-instance processor assignments, and (when a first-category block
 /// gains time) a task's first-instance start.
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,37 @@
 #include "lbmem/util/check.hpp"
 
 namespace lbmem {
+
+/// Destination-invariant split of a data-readiness maximum (paper Eq. 1;
+/// DESIGN.md F15, F35). A producer on processor q delivers to every other
+/// processor at end + C and to q itself at its plain end, so the readiness
+/// on destination d is the larger of the remote arrivals from processors
+/// other than d and the colocated ends on d. The remote side needs only its
+/// two largest per-processor maxima on distinct processors; callers keep
+/// the colocated side per processor. Both sides start at 0, the floor
+/// Schedule::data_ready applies.
+struct RemoteArrivals {
+  Time top1 = 0;
+  ProcId top1_proc = kNoProc;
+  Time top2 = 0;  ///< largest arrival from a processor other than top1_proc
+
+  /// Fold in one remote arrival from a producer on \p q.
+  void add(ProcId q, Time arrival) {
+    if (q == top1_proc) {
+      top1 = std::max(top1, arrival);
+    } else if (arrival > top1) {
+      top2 = top1;
+      top1 = arrival;
+      top1_proc = q;
+    } else {
+      top2 = std::max(top2, arrival);
+    }
+  }
+
+  /// Largest remote arrival at destination \p d: producers on d count as
+  /// colocated, not remote.
+  Time at(ProcId d) const { return d == top1_proc ? top2 : top1; }
+};
 
 /// Placement and timing of every task instance over one hyper-period.
 ///
@@ -84,10 +116,6 @@ class Schedule {
   /// producer instances of end(producer) + C (C = 0 when the producer runs
   /// on \p p, else CommModel::transfer_time of the edge's data size).
   Time data_ready(TaskInstance inst, ProcId p) const;
-
-  /// data_ready minimized over all processors — a lower bound no placement
-  /// can beat (used for the F5 gain cap).
-  Time min_data_ready(TaskInstance inst) const;
 
   // ---- memory & distribution queries --------------------------------------
 

@@ -2,22 +2,102 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "lbmem/util/check.hpp"
 
 namespace lbmem {
 
-Time precedence_lower_bound(const Schedule& sched, TaskId t, ProcId p) {
+void precedence_bounds(const Schedule& sched, TaskId t,
+                       std::vector<Time>& bounds) {
   const TaskGraph& graph = sched.graph();
   const Time period = graph.task(t).period;
   const InstanceIdx n = graph.instance_count(t);
-  Time lb = 0;
-  for (InstanceIdx k = 0; k < n; ++k) {
-    const Time ready = sched.data_ready(TaskInstance{t, k}, p);
-    lb = std::max(lb, ready - period * static_cast<Time>(k));
+  // Instance k's readiness counts against the first start shifted by k*T,
+  // so every producer end is offset before it is folded in. bounds holds
+  // the colocated side (largest plain end per producer processor) until
+  // the remote side is merged in at the end.
+  bounds.assign(
+      static_cast<std::size_t>(sched.architecture().processor_count()), 0);
+  RemoteArrivals remote;
+  for (const std::int32_t e : graph.deps_in(t)) {
+    const Dependence& dep = graph.dependences()[static_cast<std::size_t>(e)];
+    const Time comm = sched.comm().transfer_time(dep.data_size);
+    for (InstanceIdx k = 0; k < n; ++k) {
+      const Time offset = period * static_cast<Time>(k);
+      const ConsumedRange range = graph.consumed_range(e, k);
+      for (InstanceIdx i = 0; i < range.count; ++i) {
+        const TaskInstance producer{dep.producer, range.first + i};
+        const ProcId pp = sched.proc(producer);
+        LBMEM_REQUIRE(pp != kNoProc, "producer instance not yet placed");
+        const Time end = sched.end(producer) - offset;
+        remote.add(pp, end + comm);
+        Time& colocated = bounds[static_cast<std::size_t>(pp)];
+        colocated = std::max(colocated, end);
+      }
+    }
   }
-  return std::max<Time>(lb, 0);
+  for (std::size_t p = 0; p < bounds.size(); ++p) {
+    bounds[p] = std::max(bounds[p], remote.at(static_cast<ProcId>(p)));
+  }
+}
+
+std::optional<Placement> earliest_placement(
+    const Schedule& sched, const std::vector<ProcTimeline>& timelines,
+    TaskId t, const PlacementPrefs& prefs, PlacementScratch& scratch) {
+  const TaskGraph& graph = sched.graph();
+  const Task& task = graph.task(t);
+  const InstanceIdx n = graph.instance_count(t);
+  std::vector<Time>& bounds = scratch.bounds;
+  precedence_bounds(sched, t, bounds);
+  const auto bound = [&](ProcId p) {
+    return bounds[static_cast<std::size_t>(p)];
+  };
+
+  std::vector<ProcId>& order = scratch.order;
+  order.clear();
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    if (prefs.excluded == nullptr ||
+        (*prefs.excluded)[static_cast<std::size_t>(p)] == 0) {
+      order.push_back(p);
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](ProcId a, ProcId b) {
+    return bound(a) != bound(b) ? bound(a) < bound(b) : a < b;
+  });
+
+  const auto memory = [&](ProcId p) {
+    return prefs.memory != nullptr
+               ? (*prefs.memory)[static_cast<std::size_t>(p)]
+               : sched.memory_on(p);
+  };
+  // The tie-break key (start, not preferred, memory, index) is a strict
+  // total order, so its minimum does not depend on the visit order.
+  const auto precedes = [&](const Placement& a, const Placement& b) {
+    if (a.start != b.start) return a.start < b.start;
+    const bool a_pref = a.proc == prefs.preferred;
+    const bool b_pref = b.proc == prefs.preferred;
+    if (a_pref != b_pref) return a_pref;
+    const Mem ma = memory(a.proc);
+    const Mem mb = memory(b.proc);
+    if (ma != mb) return ma < mb;
+    return a.proc < b.proc;
+  };
+
+  std::optional<Placement> best;
+  for (const ProcId p : order) {
+    // A start is never below its bound and the bounds ascend, so once one
+    // exceeds the best start no remaining processor can win. The fit
+    // search itself stops at the best start (inclusive: a tie may still
+    // win on the rest of the key).
+    if (best && bound(p) > best->start) break;
+    const auto start = timelines[static_cast<std::size_t>(p)].earliest_fit(
+        bound(p), task.period, task.wcet, n,
+        best ? best->start : ProcTimeline::kNoLatest);
+    if (!start) continue;
+    const Placement candidate{p, *start};
+    if (!best || precedes(candidate, *best)) best = candidate;
+  }
+  return best;
 }
 
 void commit_whole_task(Schedule& sched, std::vector<ProcTimeline>& timelines,
@@ -39,22 +119,16 @@ void commit_whole_task(Schedule& sched, std::vector<ProcTimeline>& timelines,
 
 namespace {
 
-struct Candidate {
-  ProcId proc;
-  Time start;
-};
-
-/// Earliest feasible placement of whole task \p t on processor \p p, if
-/// it is no later than \p latest (see ProcTimeline::earliest_fit).
+/// Earliest feasible start of whole task \p t on processor \p p alone.
 std::optional<Time> earliest_on(const Schedule& sched,
                                 const ProcTimeline& timeline, TaskId t,
-                                ProcId p,
-                                Time latest = ProcTimeline::kNoLatest) {
+                                ProcId p, std::vector<Time>& bounds) {
   const TaskGraph& graph = sched.graph();
   const Task& task = graph.task(t);
-  const Time lb = precedence_lower_bound(sched, t, p);
-  return timeline.earliest_fit(lb, task.period, task.wcet,
-                               graph.instance_count(t), latest);
+  precedence_bounds(sched, t, bounds);
+  return timeline.earliest_fit(bounds[static_cast<std::size_t>(p)],
+                               task.period, task.wcet,
+                               graph.instance_count(t));
 }
 
 /// Round-robin processor per period class, in increasing period order
@@ -91,14 +165,16 @@ Schedule build_initial_schedule(const TaskGraph& graph,
           ? cluster_assignment(graph, arch)
           : std::map<Time, ProcId>{};
 
+  PlacementScratch scratch;
   for (const TaskId t : graph.topological_order()) {
-    std::optional<Candidate> chosen;
+    std::optional<Placement> chosen;
 
     if (options.policy == PlacementPolicy::PeriodCluster) {
       const ProcId home = clusters.at(graph.task(t).period);
-      if (const auto s = earliest_on(
-              sched, timelines[static_cast<std::size_t>(home)], t, home)) {
-        chosen = Candidate{home, *s};
+      if (const auto s =
+              earliest_on(sched, timelines[static_cast<std::size_t>(home)], t,
+                          home, scratch.bounds)) {
+        chosen = Placement{home, *s};
       } else if (!options.cluster_fallback) {
         throw ScheduleError("task " + graph.task(t).name +
                             " does not fit on its period-cluster processor");
@@ -107,20 +183,9 @@ Schedule build_initial_schedule(const TaskGraph& graph,
 
     if (!chosen) {
       // MinStartTime policy, or cluster fallback: earliest over all
-      // processors; ties broken by lower memory load, then index. A start
-      // later than the best so far can never win, so each search stops
-      // there (inclusive: a tie may still win on memory).
-      for (ProcId p = 0; p < arch.processor_count(); ++p) {
-        const auto s =
-            earliest_on(sched, timelines[static_cast<std::size_t>(p)], t, p,
-                        chosen ? chosen->start : ProcTimeline::kNoLatest);
-        if (!s) continue;
-        if (!chosen || *s < chosen->start ||
-            (*s == chosen->start &&
-             sched.memory_on(p) < sched.memory_on(chosen->proc))) {
-          chosen = Candidate{p, *s};
-        }
-      }
+      // processors; ties broken by lower memory load, then index.
+      chosen = earliest_placement(sched, timelines, t, PlacementPrefs{},
+                                  scratch);
     }
 
     if (!chosen) {
@@ -143,12 +208,13 @@ Schedule build_forced_schedule(const TaskGraph& graph,
   std::vector<ProcTimeline> timelines(
       static_cast<std::size_t>(arch.processor_count()),
       ProcTimeline(graph.hyperperiod()));
+  std::vector<Time> bounds;
   for (const TaskId t : graph.topological_order()) {
     const ProcId p = assignment[static_cast<std::size_t>(t)];
     LBMEM_REQUIRE(p >= 0 && p < arch.processor_count(),
                   "assignment references an unknown processor");
-    const auto s =
-        earliest_on(sched, timelines[static_cast<std::size_t>(p)], t, p);
+    const auto s = earliest_on(sched, timelines[static_cast<std::size_t>(p)],
+                               t, p, bounds);
     if (!s) {
       throw ScheduleError("forced assignment unschedulable at task " +
                           graph.task(t).name);

@@ -18,9 +18,13 @@
 ///    processor giving its earliest feasible first start.
 ///
 /// Both policies process tasks in topological order, compute the
-/// precedence/communication lower bound for the first-instance start, and
-/// find the earliest strict-periodically feasible start on the candidate
-/// processor's hyper-period circle.
+/// precedence/communication lower bound for the first-instance start on
+/// every processor in one pass, and find the earliest strict-periodically
+/// feasible start on the candidate processor's hyper-period circle.
+
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "lbmem/sched/schedule.hpp"
 #include "lbmem/sched/timeline.hpp"
@@ -48,10 +52,47 @@ Schedule build_initial_schedule(const TaskGraph& graph,
                                 const CommModel& comm,
                                 const SchedulerOptions& options = {});
 
-/// Lower bound on the first-instance start of \p t on processor \p p given
-/// producers already placed in \p sched: max over instances k of
-/// (data_ready(t_k, p) - k*T). Exposed for tests.
-Time precedence_lower_bound(const Schedule& sched, TaskId t, ProcId p);
+/// Lower bound on the first-instance start of \p t on every processor,
+/// given producers already placed in \p sched: bounds[p] = max over
+/// instances k of (data_ready(t_k, p) - k*T), and at least 0. One pass over
+/// t's producer instances fills all M entries (RemoteArrivals plus a
+/// per-processor colocated maximum). \p bounds is resized to M.
+void precedence_bounds(const Schedule& sched, TaskId t,
+                       std::vector<Time>& bounds);
+
+/// A whole-task placement: every instance on \p proc, first start \p start.
+struct Placement {
+  ProcId proc = kNoProc;
+  Time start = 0;
+};
+
+/// Tie-break inputs and admission filter of earliest_placement().
+struct PlacementPrefs {
+  /// Wins a tie on the start (kNoProc: no processor is preferred).
+  ProcId preferred = kNoProc;
+  /// Memory view for the next tie-break; null reads the live memory_on().
+  const std::vector<Mem>* memory = nullptr;
+  /// Processors that may not host the task (nonzero entries); null: none.
+  const std::vector<std::uint8_t>* excluded = nullptr;
+};
+
+/// Reusable buffers of earliest_placement(), so a loop of placements
+/// allocates once.
+struct PlacementScratch {
+  std::vector<Time> bounds;
+  std::vector<ProcId> order;
+};
+
+/// The earliest feasible placement of whole task \p t on \p timelines
+/// (DESIGN.md F35): the admitted processor minimising the key (start, not
+/// preferred, memory, index), or nullopt when no admitted processor fits.
+/// Processors are visited in ascending (precedence bound, index) order and
+/// the scan stops at the first bound above the best start found so far,
+/// since a start is never below its bound. The key makes the pick
+/// independent of the visit order.
+std::optional<Placement> earliest_placement(
+    const Schedule& sched, const std::vector<ProcTimeline>& timelines,
+    TaskId t, const PlacementPrefs& prefs, PlacementScratch& scratch);
 
 /// Place whole task \p t on \p p with first start \p start: set the start,
 /// assign every instance, and occupy the strict-periodic slots on the

@@ -18,6 +18,7 @@
 ///  V5. memory capacity — per-processor resident memory within capacity
 ///      (only when the architecture declares a finite capacity).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,16 @@ ValidationReport validate(const Schedule& sched);
 /// on the hot path and only needs the verdict; tests assert agreement with
 /// validate() so the two can never drift silently.
 bool is_valid(const Schedule& sched);
+
+/// is_valid(sched) for a schedule derived from a valid one by changing the
+/// start or the processor of the \p touched instances only, when processor
+/// exclusivity (V3) is already known to hold — e.g. every changed
+/// footprint was admitted by an occupancy that mirrors the schedule.
+/// Checks V1, V4 for the touched instances and their consumers (no other
+/// instance's inputs changed), and V5; cost O(touched + M), not O(I). The
+/// caller owns both preconditions (DESIGN.md F35).
+bool is_valid_touched(const Schedule& sched,
+                      std::span<const TaskInstance> touched);
 
 /// Convenience: throw ScheduleError with the full report when invalid.
 void validate_or_throw(const Schedule& sched);

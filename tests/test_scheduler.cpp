@@ -102,8 +102,9 @@ TEST(Scheduler, PrecedenceLowerBoundMultiRate) {
   // b0 needs a0,a1 (ready 4 local / 5 remote); b1 needs a2,a3 (ready 10
   // local / 11 remote). Lower bound on the first start of b:
   // max(ready_k - k*T_b).
-  EXPECT_EQ(precedence_lower_bound(s, b, 0), 4);
-  EXPECT_EQ(precedence_lower_bound(s, b, 1), 5);
+  std::vector<Time> bounds;
+  precedence_bounds(s, b, bounds);
+  EXPECT_EQ(bounds, (std::vector<Time>{4, 5, 5}));
 }
 
 TEST(Scheduler, ForcedScheduleHonoursAssignment) {

@@ -41,6 +41,26 @@ TEST(Validator, DetectsPlainOverlap) {
   EXPECT_EQ(report.violations[0].kind, Violation::Kind::Overlap);
 }
 
+TEST(Validator, TwoOverlappingInstancesReportOnce) {
+  // Alone on the processor, the pair's wrap-around comparison is the same
+  // pair reversed: it must not be reported a second time.
+  TaskGraph g;
+  g.add_task("x", 8, 2, 1);
+  g.add_task("y", 8, 2, 1);
+  g.freeze();
+  Schedule s(g, Architecture(2), CommModel::flat(1));
+  s.set_first_start(0, 0);
+  s.set_first_start(1, 1);
+  s.assign_all(0, 1);
+  s.assign_all(1, 1);
+  const ValidationReport report = validate(s);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0].kind, Violation::Kind::Overlap);
+  EXPECT_EQ(report.violations[0].detail,
+            "overlap on P2: x[0] @0 len 2 vs y[0] @1 len 2 (mod 8)");
+  EXPECT_FALSE(is_valid(s));
+}
+
 TEST(Validator, DetectsSteadyStateWrapOverlap) {
   // x@7 with wcet 2 on an 8-circle wraps into [0,1): collides with y@0 in
   // the *next* hyper-period even though [7,9) vs [0,2) looks disjoint.
