@@ -8,14 +8,10 @@
 namespace lbmem {
 
 const Block& BlockDecomposition::block_containing(TaskInstance inst) const {
-  LBMEM_REQUIRE(inst.task >= 0 &&
-                    inst.task < static_cast<TaskId>(block_of.size()),
-                "task id out of range");
-  const auto& per_task = block_of[static_cast<std::size_t>(inst.task)];
-  LBMEM_REQUIRE(inst.k >= 0 && inst.k < static_cast<InstanceIdx>(per_task.size()),
-                "instance index out of range");
-  return blocks[static_cast<std::size_t>(
-      per_task[static_cast<std::size_t>(inst.k)])];
+  LBMEM_REQUIRE(graph != nullptr, "block decomposition has no graph");
+  const BlockId id = block_of[graph->dense_index(inst)];
+  LBMEM_REQUIRE(id >= 0, "instance outside the decomposition");
+  return blocks[static_cast<std::size_t>(id)];
 }
 
 namespace {
@@ -61,11 +57,8 @@ BlockDecomposition materialize_blocks(const Schedule& sched,
             });
 
   BlockDecomposition out;
-  out.block_of.resize(graph.task_count());
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    out.block_of[static_cast<std::size_t>(t)].assign(
-        static_cast<std::size_t>(graph.instance_count(t)), BlockId{-1});
-  }
+  out.graph = &graph;
+  out.block_of.assign(graph.total_instances(), BlockId{-1});
   std::vector<BlockId> class_to_block(class_count, BlockId{-1});
 
   for (const TaskInstance inst : instances) {
@@ -85,8 +78,7 @@ BlockDecomposition materialize_blocks(const Schedule& sched,
     block.members.push_back(inst);
     block.exec_sum += graph.task(inst.task).wcet;
     block.mem_sum += graph.task(inst.task).memory;
-    out.block_of[static_cast<std::size_t>(inst.task)]
-                [static_cast<std::size_t>(inst.k)] = bid;
+    out.block_of[graph.dense_index(inst)] = bid;
   }
 
   for (Block& block : out.blocks) {

@@ -12,8 +12,12 @@ namespace lbmem {
 /// The block decomposition plus an instance -> block index.
 struct BlockDecomposition {
   std::vector<Block> blocks;
-  /// block_of[task][k] = BlockId of instance (task, k).
-  std::vector<std::vector<BlockId>> block_of;
+  /// block_of[graph->dense_index(inst)] = BlockId of instance inst (-1
+  /// for an instance a partial decomposition did not discover).
+  std::vector<BlockId> block_of;
+  /// The graph whose dense instance enumeration block_of follows; it must
+  /// outlive the decomposition (as it outlives the schedule).
+  const TaskGraph* graph = nullptr;
 
   /// Block holding \p inst.
   const Block& block_containing(TaskInstance inst) const;

@@ -888,10 +888,10 @@ void Attempt::decide_block(BlockId id, std::vector<StepRecord>* trace,
       LBMEM_REQUIRE(requeue != nullptr,
                     "positive gain committed without a re-queue sink");
       for (const TaskId t : block.tasks) {
-        const InstanceIdx n = graph().instance_count(t);
-        for (InstanceIdx k = 1; k < n; ++k) {
-          const BlockId other = dec_.block_of[static_cast<std::size_t>(t)]
-                                             [static_cast<std::size_t>(k)];
+        const std::size_t first = graph().instance_base(t);
+        const std::size_t last = graph().instance_base(t + 1);
+        for (std::size_t i = first + 1; i < last; ++i) {
+          const BlockId other = dec_.block_of[i];
           // Partial decompositions leave undiscovered instances at -1;
           // their blocks are out of scope and never popped, so there is
           // nothing to re-queue (the shifted footprints are already

@@ -39,4 +39,12 @@ struct Dependence {
   Mem data_size = 1;
 };
 
+/// A named producer of a task admitted into a frozen graph
+/// (TaskGraph::with_task): names are stable across graph edits, ids are
+/// not (DESIGN.md F10).
+struct NamedProducer {
+  std::string task;
+  Mem data_size = 1;
+};
+
 }  // namespace lbmem

@@ -7,16 +7,25 @@
 /// immutable after freeze(): validation establishes the invariants every
 /// other module relies on (acyclicity, harmonic dependent periods,
 /// positive WCETs bounded by periods), computes the hyper-period and a
-/// topological order, and builds adjacency indexes. A name index and an
-/// edge-key set, maintained from the first add, make duplicate checks and
-/// name lookups O(1), so rebuilding a graph of N tasks and E edges costs
-/// O(N + E) rather than O(N^2 + E^2).
+/// topological order, and builds adjacency indexes.
+///
+/// Storage is flat (DESIGN.md F10). Adjacency is CSR: one offset array and
+/// one edge-index array per direction. The name index is one open-
+/// addressing table of (hash, id) slots resolved against tasks_[id].name,
+/// so it holds no string copies and survives a copy as a plain array. An
+/// edge-key set makes duplicate-edge checks O(1) while a graph is being
+/// built and is dropped by freeze(). The online engine edits a frozen
+/// graph with two delta constructors instead of rebuilding it:
+/// with_task() appends one task and its producer edges, without_tasks()
+/// drops tasks and compacts the ids. Each costs a few flat array passes
+/// (O(N + E), no name hashing beyond the edited tasks, and a number of
+/// heap allocations that does not grow with N).
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -53,6 +62,31 @@ class TaskGraph {
   /// called once after construction; mutating calls afterwards throw.
   void freeze();
 
+  /// Delta constructor for a task arrival: the frozen graph \p base plus
+  /// \p task (id base.task_count()) and one dependence per entry of
+  /// \p producers, in order, appended after base's dependences. The result
+  /// equals, accessor for accessor, the graph rebuilt by add_task over
+  /// base's tasks and \p task, add_dependence over base's dependences and
+  /// the new ones, and freeze(). It throws the same ModelError the rebuild
+  /// would throw first: add_task's checks on \p task, then per producer
+  /// "arrival references unknown producer <name>" or add_dependence's
+  /// checks (a producer naming \p task itself is a self-dependence). H
+  /// becomes lcm(H, T); the topological order is base's plus the new task,
+  /// which is the min-id Kahn order since the new task has the largest id
+  /// and no consumers.
+  static TaskGraph with_task(const TaskGraph& base, Task task,
+                             std::span<const NamedProducer> producers);
+
+  /// Delta constructor for task removal: the frozen graph \p base without
+  /// the tasks in \p victims and every dependence touching one. Surviving
+  /// tasks and dependences keep their relative order, so ids above a
+  /// victim shift down. H and the min-id Kahn order are recomputed over the
+  /// compacted arrays; the result equals the graph rebuilt from the
+  /// survivors. Throws ModelError("task graph has no tasks") when nothing
+  /// survives.
+  static TaskGraph without_tasks(const TaskGraph& base,
+                                 std::span<const TaskId> victims);
+
   /// Update a task's WCET after freeze() — the one structural mutation the
   /// online engine needs (WcetChange events). Legal because nothing derived
   /// at freeze time depends on WCETs (hyper-period, instance counts,
@@ -84,10 +118,8 @@ class TaskGraph {
   TaskId find(const std::string& name) const;
 
   /// Task id by name, or std::nullopt if absent.
-  std::optional<TaskId> try_find(const std::string& name) const {
-    const auto it = id_of_.find(name);
-    if (it == id_of_.end()) return std::nullopt;
-    return it->second;
+  std::optional<TaskId> try_find(std::string_view name) const {
+    return names_.find(name, tasks_);
   }
 
   /// Hyper-period H = lcm of all task periods (paper Section 3.1, ref [13]).
@@ -143,7 +175,7 @@ class TaskGraph {
     LBMEM_REQUIRE(consumer >= 0 &&
                       consumer < static_cast<TaskId>(tasks_.size()),
                   "task id out of range");
-    return in_edges_[static_cast<std::size_t>(consumer)];
+    return csr_row(in_offsets_, in_edges_, consumer);
   }
 
   /// Dependences leaving \p producer (indices into dependences()).
@@ -152,7 +184,7 @@ class TaskGraph {
     LBMEM_REQUIRE(producer >= 0 &&
                       producer < static_cast<TaskId>(tasks_.size()),
                   "task id out of range");
-    return out_edges_[static_cast<std::size_t>(producer)];
+    return csr_row(out_offsets_, out_edges_, producer);
   }
 
   /// A topological order of task ids (producers before consumers).
@@ -219,6 +251,49 @@ class TaskGraph {
   double utilization() const;
 
  private:
+  /// Name -> id table: linear probing over a power-of-two array of
+  /// (hash, id) slots, at most half full. A slot stores no name; a lookup
+  /// compares against tasks_[id].name, and the stored hash lets the table
+  /// be resized, or have entries deleted, without hashing a name again.
+  class NameIndex {
+   public:
+    std::optional<TaskId> find(std::string_view name,
+                               const std::vector<Task>& tasks) const {
+      if (slots_.empty()) return std::nullopt;
+      const std::uint32_t h = hash(name);
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const Slot& s = slots_[i];
+        if (s.id < 0) return std::nullopt;
+        if (s.hash == h && tasks[static_cast<std::size_t>(s.id)].name == name) {
+          return s.id;
+        }
+      }
+    }
+    /// Index \p id under \p name, which must be absent.
+    void insert(std::string_view name, TaskId id);
+    /// Delete the entry of \p id, indexed under \p name (backward-shift
+    /// deletion: no tombstones).
+    void erase(std::string_view name, TaskId id);
+    /// Map every id through \p new_id (erase dropped ids first).
+    void renumber(std::span<const TaskId> new_id);
+    /// Copy of \p from sized to hold \p count entries: one allocation, a
+    /// plain copy when the capacity is unchanged.
+    static NameIndex resized(const NameIndex& from, std::size_t count);
+
+   private:
+    struct Slot {
+      std::uint32_t hash = 0;
+      TaskId id = -1;  // -1: empty
+    };
+    static std::uint32_t hash(std::string_view name);
+    static std::size_t capacity_for(std::size_t count);
+    void place(std::uint32_t h, TaskId id);
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
   void require_frozen(const char* what) const {
     if (!frozen_) throw_not_frozen(what);
   }
@@ -229,12 +304,28 @@ class TaskGraph {
             << 32) |
            static_cast<std::uint32_t>(consumer);
   }
+  /// add_task's checks on \p task, in order, the duplicate name included.
+  void check_task(const Task& task) const;
+  /// add_dependence's checks after the id range, in order.
+  static void check_dependence(const Task& producer, const Task& consumer,
+                               bool self, Mem data_size, bool duplicate);
+  static std::span<const std::int32_t> csr_row(
+      const std::vector<std::int32_t>& offsets,
+      const std::vector<std::int32_t>& edges, TaskId t) {
+    const auto first = offsets[static_cast<std::size_t>(t)];
+    const auto last = offsets[static_cast<std::size_t>(t) + 1];
+    return {edges.data() + first, static_cast<std::size_t>(last - first)};
+  }
+  // Derived-data builders shared by freeze() and the delta constructors.
+  void build_adjacency();
+  void build_topological_order();  // min-id Kahn; throws on a cycle
+  void build_instance_tables();    // from hyperperiod_
 
   std::vector<Task> tasks_;
   std::vector<Dependence> deps_;
   bool frozen_ = false;
-  // Maintained by add_task/add_dependence, for O(1) duplicate checks.
-  std::unordered_map<std::string, TaskId> id_of_;
+  NameIndex names_;
+  // Duplicate-edge check while building; emptied by freeze().
   std::unordered_set<std::uint64_t> edge_keys_;  // edge_key(producer, consumer)
 
   // Derived by freeze():
@@ -243,8 +334,12 @@ class TaskGraph {
   std::vector<TaskId> topo_order_;
   std::vector<InstanceIdx> instance_count_;  // per task: H / period
   std::vector<std::size_t> instance_base_;   // CSR offsets, size tasks+1
-  std::vector<std::vector<std::int32_t>> in_edges_;
-  std::vector<std::vector<std::int32_t>> out_edges_;
+  // CSR adjacency: task t's edges are *_edges_[*_offsets_[t] ..
+  // *_offsets_[t+1]), ascending by edge index.
+  std::vector<std::int32_t> in_offsets_;
+  std::vector<std::int32_t> in_edges_;
+  std::vector<std::int32_t> out_offsets_;
+  std::vector<std::int32_t> out_edges_;
 };
 
 }  // namespace lbmem

@@ -10,13 +10,15 @@
 /// that applies events lives in rebalancer.hpp.
 ///
 /// Tasks are identified by *name* across events (DESIGN.md F10): task
-/// arrivals and removals rebuild the frozen TaskGraph, so dense TaskIds are
-/// not stable identities at the trace level.
+/// arrivals and removals replace the frozen TaskGraph and a removal shifts
+/// the ids above the victim, so dense TaskIds are not stable identities at
+/// the trace level.
 
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "lbmem/model/task.hpp"
 #include "lbmem/model/types.hpp"
 
 namespace lbmem {
@@ -30,10 +32,7 @@ struct NewTaskSpec {
   /// Dependences of the new task; producers are named and must be alive
   /// when the event fires (runtime admission cannot add consumers to the
   /// new task — nothing depends on it yet).
-  struct Producer {
-    std::string task;
-    Mem data_size = 1;
-  };
+  using Producer = NamedProducer;
   std::vector<Producer> producers;
 };
 

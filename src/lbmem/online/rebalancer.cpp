@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "lbmem/api/solver.hpp"
@@ -43,32 +45,26 @@ std::vector<ProcId> instance0_procs(const Schedule& sched) {
   return preferred;
 }
 
-/// Surviving instances whose processor changed across the event, matched
-/// by task name (ids are not stable across graph rebuilds).
-int count_migrations(const Schedule& pre, const Schedule& post) {
+/// Pre-event id of post-event task \p t under \p old_of_new (-1: the task
+/// arrived with the event; an empty map is the identity — the graph kept).
+TaskId old_id(std::span<const TaskId> old_of_new, TaskId t) {
+  return old_of_new.empty() ? t : old_of_new[static_cast<std::size_t>(t)];
+}
+
+/// Surviving instances whose processor changed across the event. Ids are
+/// matched through \p old_of_new (graph edits shift them, DESIGN.md F10).
+int count_migrations(const Schedule& pre, const Schedule& post,
+                     std::span<const TaskId> old_of_new) {
+  LBMEM_TRACE_SPAN("online.count_migrations");
   const TaskGraph& og = pre.graph();
   const TaskGraph& ng = post.graph();
-  if (&og == &ng) {
-    // No graph rebuild (the hot WcetChange/failure path): ids are the
-    // identity — skip the name index and its per-event string hashing.
-    int migrations = 0;
-    for (TaskId t = 0; t < static_cast<TaskId>(og.task_count()); ++t) {
-      const InstanceIdx n = og.instance_count(t);
-      for (InstanceIdx k = 0; k < n; ++k) {
-        const TaskInstance inst{t, k};
-        if (pre.proc(inst) != post.proc(inst)) ++migrations;
-      }
-    }
-    return migrations;
-  }
   int migrations = 0;
-  for (TaskId t = 0; t < static_cast<TaskId>(og.task_count()); ++t) {
-    const auto nt = ng.try_find(og.task(t).name);
-    if (!nt) continue;  // removed
-    const InstanceIdx n =
-        std::min(og.instance_count(t), ng.instance_count(*nt));
+  for (TaskId t = 0; t < static_cast<TaskId>(ng.task_count()); ++t) {
+    const TaskId o = old_id(old_of_new, t);
+    if (o < 0) continue;  // arrived
+    const InstanceIdx n = std::min(og.instance_count(o), ng.instance_count(t));
     for (InstanceIdx k = 0; k < n; ++k) {
-      if (pre.proc(TaskInstance{t, k}) != post.proc(TaskInstance{*nt, k})) {
+      if (pre.proc(TaskInstance{o, k}) != post.proc(TaskInstance{t, k})) {
         ++migrations;
       }
     }
@@ -120,31 +116,6 @@ std::vector<TaskId> shed_order(const TaskGraph& graph) {
     return ta.name < tb.name;
   });
   return order;
-}
-
-/// \p graph minus the tasks in \p victims (and every dependence touching
-/// one) — the shed rung's shrunken system.
-std::unique_ptr<TaskGraph> drop_tasks(const TaskGraph& graph,
-                                      const std::vector<TaskId>& victims) {
-  std::vector<std::uint8_t> gone(graph.task_count(), 0);
-  for (const TaskId v : victims) gone[static_cast<std::size_t>(v)] = 1;
-  std::vector<TaskId> remap(graph.task_count(), -1);
-  auto shrunk = std::make_unique<TaskGraph>();
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (gone[static_cast<std::size_t>(t)]) continue;
-    remap[static_cast<std::size_t>(t)] = shrunk->add_task(graph.task(t));
-  }
-  for (const Dependence& dep : graph.dependences()) {
-    if (gone[static_cast<std::size_t>(dep.producer)] ||
-        gone[static_cast<std::size_t>(dep.consumer)]) {
-      continue;
-    }
-    shrunk->add_dependence(remap[static_cast<std::size_t>(dep.producer)],
-                           remap[static_cast<std::size_t>(dep.consumer)],
-                           dep.data_size);
-  }
-  shrunk->freeze();
-  return shrunk;
 }
 
 /// Scope guard undoing a durable engine mutation (set_wcet, failed_ flag)
@@ -283,10 +254,11 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
 
 /// Fresh candidate that re-places *every* task (hyper-period changes and
 /// the escalation path when a local repair is infeasible; DESIGN.md F13).
-/// Placement preferences come from the pre-event schedule, matched by name
-/// (by id when the graph is the pre-event one, as in count_migrations).
-Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
-                                                       const Schedule& pre) {
+/// Placement preferences come from the pre-event schedule, matched through
+/// \p old_of_new as in count_migrations.
+Rebalancer::Patched Rebalancer::full_replace_candidate(
+    const TaskGraph& graph, const Schedule& pre,
+    std::span<const TaskId> old_of_new) {
   Rebalancer::Patched candidate{
       Schedule(graph, pre.architecture(), pre.comm())};
   candidate.full_replace = true;
@@ -294,16 +266,12 @@ Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
       static_cast<std::size_t>(pre.architecture().processor_count()),
       ProcTimeline(graph.hyperperiod()));
   candidate.dirty.assign(graph.task_count(), 1);
-  if (&graph == &pre.graph()) {
-    // No graph rebuild (WcetChange, ProcessorFailure): ids are the identity.
-    candidate.preferred = instance0_procs(pre);
-    return candidate;
-  }
   candidate.preferred.assign(graph.task_count(), kNoProc);
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (const auto old = pre.graph().try_find(graph.task(t).name)) {
+    const TaskId old = old_id(old_of_new, t);
+    if (old >= 0) {
       candidate.preferred[static_cast<std::size_t>(t)] =
-          pre.proc(TaskInstance{*old, 0});
+          pre.proc(TaskInstance{old, 0});
     }
   }
   return candidate;
@@ -376,7 +344,7 @@ void Rebalancer::run_full_resolver(EventOutcome& out) {
   }
   out.balance_moves = outcome.stats.has_balance
                           ? outcome.stats.moves_off_home
-                          : count_migrations(*sched_, candidate);
+                          : count_migrations(*sched_, candidate, {});
   out.balance_gain = sched_->makespan() - candidate.makespan();
   sched_ = std::move(*outcome.schedule);
   occ_ = build_occupancy(*sched_);
@@ -574,6 +542,9 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
 
   std::string reject;
   std::unique_ptr<TaskGraph> new_graph;   // null = graph kept
+  // Post-event id -> pre-event id (-1: the arrival); empty while the
+  // event keeps the graph. Graph edits and the shed rung set it.
+  std::vector<TaskId> id_map;
   std::unique_ptr<TaskGraph> shed_graph;  // rung 4 shrank the graph
   std::optional<Patched> patched;
   const std::vector<Mem>* stale = stale_memory();
@@ -586,12 +557,16 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
   // running system, and finally load shedding (DESIGN.md F28). Every rung
   // builds its candidate from pristine pre-event state via make_base /
   // full_replace_candidate, so a failed rung leaks nothing into the next
-  // — and a rejected event leaks nothing at all (F14).
+  // — and a rejected event leaks nothing at all (F14). \p graph is the
+  // post-edit graph that id_map describes.
   const auto run_ladder = [&](const std::function<Patched()>& make_base,
-                              const TaskGraph& graph,
-                              bool same_graph) -> std::string {
+                              const TaskGraph& graph) -> std::string {
     LBMEM_TRACE_SPAN("online.repair");
-    Patched candidate = make_base();
+    const auto base = [&] {
+      LBMEM_TRACE_SPAN("online.candidate");
+      return make_base();
+    };
+    Patched candidate = base();
     const std::vector<std::uint8_t> base_dirty = candidate.dirty;
     const bool base_full = candidate.full_replace;
     std::string err =
@@ -613,7 +588,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         std::vector<std::uint8_t> dirty = base_dirty;
         for (int r = 0; r < deg.max_retries; ++r) {
           if (!widen_by_ring(graph, dirty)) break;  // fixpoint: no new scope
-          Patched retry = make_base();
+          Patched retry = base();
           retry.dirty = dirty;
           ++out.degraded_retries;
           if (repair(retry.sched, retry.occ, retry.dirty, retry.preferred,
@@ -626,7 +601,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         }
       }
       // Rung 2 / the historic escalation: re-place every task.
-      Patched full = full_replace_candidate(graph, pre());
+      Patched full = full_replace_candidate(graph, pre(), id_map);
       if (repair(full.sched, full.occ, full.dirty, full.preferred, failed_,
                  full.repaired, stale)
               .empty()) {
@@ -643,7 +618,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
     // full_resolver invariant carries over).
     const Solver* resolver =
         deg.resolver ? deg.resolver.get() : options_.full_resolver.get();
-    if (same_graph && resolver != nullptr) {
+    if (id_map.empty() && resolver != nullptr) {
       const Problem problem = Problem::adopt(pre());
       Outcome outcome = resolver->solve(problem);
       if (outcome.feasible()) {
@@ -675,10 +650,22 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
     const std::vector<TaskId> order = shed_order(graph);
     const int cap =
         std::min(deg.max_shed, static_cast<int>(graph.task_count()) - 1);
+    std::vector<std::uint8_t> gone;
+    std::vector<TaskId> shrunk_map;
     for (int s = 1; s <= cap; ++s) {
-      const std::vector<TaskId> victims(order.begin(), order.begin() + s);
-      auto shrunk = drop_tasks(graph, victims);
-      Patched cand = full_replace_candidate(*shrunk, pre());
+      const std::span<const TaskId> victims(order.data(),
+                                            static_cast<std::size_t>(s));
+      auto shrunk =
+          std::make_unique<TaskGraph>(TaskGraph::without_tasks(graph, victims));
+      gone.assign(graph.task_count(), 0);
+      for (const TaskId v : victims) gone[static_cast<std::size_t>(v)] = 1;
+      shrunk_map.clear();
+      for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+        if (!gone[static_cast<std::size_t>(t)]) {
+          shrunk_map.push_back(old_id(id_map, t));
+        }
+      }
+      Patched cand = full_replace_candidate(*shrunk, pre(), shrunk_map);
       if (!repair(cand.sched, cand.occ, cand.dirty, cand.preferred, failed_,
                   cand.repaired, stale)
                .empty()) {
@@ -688,6 +675,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
       out.degraded_rung = 4;
       for (const TaskId v : victims) out.shed.push_back(graph.task(v).name);
       shed_graph = std::move(shrunk);
+      id_map = std::move(shrunk_map);
       patched.emplace(std::move(cand));
       return {};
     }
@@ -733,7 +721,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         add_consumers(*graph_, t, candidate.seeds);
         return candidate;
       };
-      reject = run_ladder(make_base, *graph_, /*same_graph=*/true);
+      reject = run_ladder(make_base, *graph_);
       if (!reject.empty()) break;  // ~Rollback restores the old WCET
       undo.dismiss();
       break;
@@ -766,7 +754,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         candidate.preferred = instance0_procs(pre());
         return candidate;
       };
-      reject = run_ladder(make_base, *graph_, /*same_graph=*/true);
+      reject = run_ladder(make_base, *graph_);
       if (!reject.empty()) break;  // ~Rollback un-fails the processor
       undo.dismiss();
       break;
@@ -775,37 +763,31 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
     case EventKind::TaskArrival: {
       const NewTaskSpec& spec = std::get<TaskArrival>(event.payload).spec;
       try {
-        auto rebuilt = std::make_unique<TaskGraph>();
-        for (const Task& task : graph_->tasks()) rebuilt->add_task(task);
-        const TaskId nid = rebuilt->add_task(
-            Task{spec.name, spec.period, spec.wcet, spec.memory});
-        for (const Dependence& dep : graph_->dependences()) {
-          rebuilt->add_dependence(dep.producer, dep.consumer, dep.data_size);
+        std::unique_ptr<TaskGraph> edited;
+        {
+          LBMEM_TRACE_SPAN("online.graph_edit");
+          edited = std::make_unique<TaskGraph>(TaskGraph::with_task(
+              *graph_, Task{spec.name, spec.period, spec.wcet, spec.memory},
+              spec.producers));
         }
-        for (const NewTaskSpec::Producer& producer : spec.producers) {
-          const auto pid = rebuilt->try_find(producer.task);
-          if (!pid) {
-            throw ModelError("arrival references unknown producer " +
-                             producer.task);
-          }
-          rebuilt->add_dependence(*pid, nid, producer.data_size);
-        }
-        rebuilt->freeze();
+        const auto nid = static_cast<TaskId>(graph_->task_count());
+        id_map.resize(edited->task_count());
+        std::iota(id_map.begin(), id_map.end(), TaskId{0});
+        id_map.back() = -1;
 
-        // Existing ids are stable (tasks copied in id order, the new task
-        // appended last), so placements migrate index-for-index. If the
-        // hyper-period grew, the old pattern is replicated around the
-        // larger circle, which preserves validity (DESIGN.md F13).
+        // Existing ids are stable (the new task is appended last), so
+        // placements migrate index-for-index. If the hyper-period grew, the
+        // old pattern is replicated around the larger circle, which
+        // preserves validity (DESIGN.md F13).
         const Time old_h = graph_->hyperperiod();
-        const Time new_h = rebuilt->hyperperiod();
+        const Time new_h = edited->hyperperiod();
         const auto make_base = [&] {
           Patched candidate{
-              Schedule(*rebuilt, pre().architecture(), pre().comm())};
-          for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count());
-               ++t) {
+              Schedule(*edited, pre().architecture(), pre().comm())};
+          for (TaskId t = 0; t < nid; ++t) {
             candidate.sched.set_first_start(t, pre().first_start(t));
             const InstanceIdx n_old = graph_->instance_count(t);
-            const InstanceIdx n_new = rebuilt->instance_count(t);
+            const InstanceIdx n_new = edited->instance_count(t);
             for (InstanceIdx k = 0; k < n_new; ++k) {
               candidate.sched.assign(TaskInstance{t, k},
                                      pre().proc(TaskInstance{t, k % n_old}));
@@ -813,14 +795,14 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
           }
           candidate.occ =
               (new_h == old_h) ? occ_ : build_occupancy(candidate.sched);
-          candidate.dirty.assign(rebuilt->task_count(), 0);
+          candidate.dirty.assign(edited->task_count(), 0);
           candidate.dirty[static_cast<std::size_t>(nid)] = 1;
           candidate.preferred = instance0_procs(candidate.sched);
           candidate.seeds.push_back(nid);
           return candidate;
         };
-        reject = run_ladder(make_base, *rebuilt, /*same_graph=*/false);
-        if (reject.empty()) new_graph = std::move(rebuilt);
+        reject = run_ladder(make_base, *edited);
+        if (reject.empty()) new_graph = std::move(edited);
       } catch (const ModelError& e) {
         reject = e.what();
       }
@@ -839,33 +821,32 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         reject = "cannot remove the last task";
         break;
       }
-      auto rebuilt = std::make_unique<TaskGraph>();
+      std::unique_ptr<TaskGraph> edited;
+      {
+        LBMEM_TRACE_SPAN("online.graph_edit");
+        edited = std::make_unique<TaskGraph>(TaskGraph::without_tasks(
+            *graph_, std::span<const TaskId>(&victim, 1)));
+      }
       const auto remap = [&](TaskId t) {
         return t - (t > victim ? 1 : 0);
       };
-      for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count());
-           ++t) {
-        if (t != victim) rebuilt->add_task(graph_->task(t));
+      id_map.resize(edited->task_count());
+      for (TaskId t = 0; t < static_cast<TaskId>(id_map.size()); ++t) {
+        id_map[static_cast<std::size_t>(t)] = t + (t >= victim ? 1 : 0);
       }
-      for (const Dependence& dep : graph_->dependences()) {
-        if (dep.producer == victim || dep.consumer == victim) continue;
-        rebuilt->add_dependence(remap(dep.producer), remap(dep.consumer),
-                                dep.data_size);
-      }
-      rebuilt->freeze();
 
       const Time old_h = graph_->hyperperiod();
-      const Time new_h = rebuilt->hyperperiod();
+      const Time new_h = edited->hyperperiod();
       const auto make_base = [&] {
         Patched candidate = [&] {
           if (new_h != old_h) {
             // The victim's period was load-bearing for the hyper-period;
             // folding the old circle onto the smaller one is not validity-
             // preserving, so every task is re-placed (DESIGN.md F13).
-            return full_replace_candidate(*rebuilt, pre());
+            return full_replace_candidate(*edited, pre(), id_map);
           }
           Patched migrated{
-              Schedule(*rebuilt, pre().architecture(), pre().comm())};
+              Schedule(*edited, pre().architecture(), pre().comm())};
           for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count());
                ++t) {
             if (t == victim) continue;
@@ -877,25 +858,30 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
                                     pre().proc(TaskInstance{t, k}));
             }
           }
-          // Ids shifted, so the occupancy owners must be rebuilt.
-          migrated.occ = build_occupancy(migrated.sched);
-          migrated.dirty.assign(rebuilt->task_count(), 0);
+          // Same circle, same pieces: drop the victim's and renumber the
+          // owners above it (DESIGN.md F13).
+          migrated.occ = occ_;
+          for (ProcTimeline& timeline : migrated.occ) {
+            timeline.drop_task(victim);
+          }
+          migrated.dirty.assign(edited->task_count(), 0);
           migrated.preferred = instance0_procs(migrated.sched);
           return migrated;
         }();
         // Seed the balance around the hole the victim left.
-        for (const Dependence& dep : graph_->dependences()) {
-          if (dep.producer == victim) {
-            candidate.seeds.push_back(remap(dep.consumer));
-          }
-          if (dep.consumer == victim) {
-            candidate.seeds.push_back(remap(dep.producer));
-          }
+        const std::span<const Dependence> deps = graph_->dependences();
+        for (const std::int32_t e : graph_->deps_out(victim)) {
+          candidate.seeds.push_back(
+              remap(deps[static_cast<std::size_t>(e)].consumer));
+        }
+        for (const std::int32_t e : graph_->deps_in(victim)) {
+          candidate.seeds.push_back(
+              remap(deps[static_cast<std::size_t>(e)].producer));
         }
         return candidate;
       };
-      reject = run_ladder(make_base, *rebuilt, /*same_graph=*/false);
-      if (reject.empty()) new_graph = std::move(rebuilt);
+      reject = run_ladder(make_base, *edited);
+      if (reject.empty()) new_graph = std::move(edited);
       break;
     }
   }
@@ -932,7 +918,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
   // top would second-guess the solver the caller configured.
   if (out.degraded_rung != 3) run_balance_stage(seeds, out);
 
-  out.migrated_instances = count_migrations(pre(), *sched_);
+  out.migrated_instances = count_migrations(pre(), *sched_, id_map);
   finish();
   return out;
 }

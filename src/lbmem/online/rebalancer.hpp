@@ -11,8 +11,9 @@
 ///     whole (earliest feasible strict-periodic start over the alive
 ///     processors, preferring their previous processor), in topological
 ///     order, cascading to consumers whose data-readiness the re-placement
-///     broke (DESIGN.md F11). Task arrivals/removals rebuild the frozen
-///     TaskGraph and migrate the surviving placements (DESIGN.md F10/F13).
+///     broke (DESIGN.md F11). Task arrivals/removals derive a new frozen
+///     TaskGraph by delta (TaskGraph::with_task / without_tasks) and
+///     migrate the surviving placements (DESIGN.md F10/F13).
 ///  2. **Warm-start incremental balance** — only the blocks around the
 ///     dirtied tasks are re-decomposed (build_blocks_around) and re-run
 ///     through the paper's heuristic (LoadBalancer::rebalance), reusing
@@ -36,6 +37,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,7 +69,7 @@ struct DegradedOptions {
   int max_shed = 4;
   /// Rung 3 solver (full resolve of the running system). Falls back to
   /// RebalancerOptions::full_resolver when null; the rung is skipped when
-  /// neither is set or when the event rebuilt the task graph.
+  /// neither is set or when the event replaced the task graph.
   std::shared_ptr<const Solver> resolver;
 };
 
@@ -124,7 +126,7 @@ struct EventOutcome {
   /// False: the event was infeasible; the state was rolled back untouched.
   bool applied = false;
   std::string reject_reason;
-  /// The event rebuilt the task graph (arrival/removal epoch).
+  /// The event replaced the task graph (arrival/removal epoch, or a shed).
   bool graph_rebuilt = false;
   /// The hyper-period changed and every task was re-placed (DESIGN.md F13).
   bool full_replace = false;
@@ -234,7 +236,8 @@ class Rebalancer {
   };
 
   static Patched full_replace_candidate(const TaskGraph& graph,
-                                        const Schedule& pre);
+                                        const Schedule& pre,
+                                        std::span<const TaskId> old_of_new);
   EventOutcome apply_one(const Event& event, bool allow_defer);
   void commit(Patched&& candidate, std::unique_ptr<TaskGraph> new_graph);
   void run_balance_stage(const std::vector<TaskId>& seeds,

@@ -35,11 +35,12 @@ void ProcTimeline::insert_piece(Piece piece) {
   ++piece_count_;
 }
 
-ProcTimeline::OwnerPieces* ProcTimeline::OwnerIndex::find(TaskInstance key) {
+const ProcTimeline::OwnerPieces* ProcTimeline::OwnerIndex::find(
+    TaskInstance key) const {
   if (table_.empty()) return nullptr;
   const std::size_t mask = table_.size() - 1;
   for (std::size_t i = probe(key);; i = (i + 1) & mask) {
-    Entry& e = table_[i];
+    const Entry& e = table_[i];
     if (empty_slot(e)) return nullptr;
     if (!tombstone(e) && e.key == key) return &e.val;
   }
@@ -96,6 +97,25 @@ void ProcTimeline::OwnerIndex::grow() {
     while (!empty_slot(table_[i])) i = (i + 1) & mask;
     table_[i] = e;
   }
+}
+
+void ProcTimeline::OwnerIndex::reset(std::size_t owners) {
+  // Below the 3/4 rehash threshold after `owners` inserts; assign() keeps
+  // the existing allocation when it is large enough.
+  std::size_t cap = 16;
+  while (cap * 3 < (owners + 1) * 4) cap <<= 1;
+  table_.assign(cap, Entry{});
+  used_ = 0;
+  live_ = 0;
+}
+
+std::size_t ProcTimeline::OwnerIndex::recorded_pieces() const {
+  std::size_t count = 0;
+  for (const Entry& e : table_) {
+    if (empty_slot(e) || tombstone(e)) continue;
+    count += (e.val.first >= 0 ? 1 : 0) + (e.val.second >= 0 ? 1 : 0);
+  }
+  return count;
 }
 
 void ProcTimeline::add(Time start, Time len, TaskInstance owner) {
@@ -158,6 +178,31 @@ void ProcTimeline::remove(TaskInstance owner) {
   owner_index_.erase(owner);
   if (slots.first >= 0) erase_piece_at(slots.first, owner);
   if (slots.second >= 0) erase_piece_at(slots.second, owner);
+}
+
+void ProcTimeline::drop_task(TaskId victim) {
+  piece_count_ = 0;
+  for (std::size_t b = next_nonempty(0); b != npos; b = next_nonempty(b + 1)) {
+    std::vector<Piece>& v = buckets_[b];
+    std::size_t kept = 0;
+    for (const Piece& p : v) {
+      if (p.owner.task == victim) continue;
+      Piece moved = p;
+      if (moved.owner.task > victim) --moved.owner.task;
+      v[kept++] = moved;
+    }
+    v.resize(kept);
+    if (kept == 0) nonempty_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    piece_count_ += kept;
+  }
+  // An owner holds one or two pieces, so piece_count_ bounds the owners.
+  owner_index_.reset(piece_count_);
+  for (std::size_t b = next_nonempty(0); b != npos; b = next_nonempty(b + 1)) {
+    for (const Piece& p : buckets_[b]) {
+      OwnerPieces& slots = owner_index_.insert(p.owner);
+      (slots.first < 0 ? slots.first : slots.second) = p.start;
+    }
+  }
 }
 
 Time ProcTimeline::skip_run(const Piece* conflict, Time pos, Time wcet,
@@ -242,9 +287,15 @@ bool ProcTimeline::check_index_integrity() const {
       if (prev != nullptr && prev->start + prev->len > p.start) return false;
       prev = &p;
       ++count;
+      const OwnerPieces* slots = owner_index_.find(p.owner);
+      if (slots == nullptr ||
+          (slots->first != p.start && slots->second != p.start)) {
+        return false;
+      }
     }
   }
-  return count == piece_count_;
+  return count == piece_count_ &&
+         owner_index_.recorded_pieces() == piece_count_;
 }
 
 }  // namespace lbmem

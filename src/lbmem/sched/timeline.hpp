@@ -85,6 +85,13 @@ class ProcTimeline {
   /// Release all intervals owned by \p owner (no-op if absent).
   void remove(TaskInstance owner);
 
+  /// Task removal with id compaction (DESIGN.md F13): release every piece
+  /// of task \p victim and renumber the owners of later tasks down by one
+  /// ((t, k) becomes (t-1, k) for t > victim). The remaining pieces stay
+  /// where they are, in the same order; the owner index is rebuilt once at
+  /// its final size. One pass over the pieces, with no bucket search.
+  void drop_task(TaskId victim);
+
   /// The owner of some interval overlapping [start, start+len), if any.
   std::optional<TaskInstance> conflicting_owner(Time start, Time len) const;
 
@@ -128,7 +135,8 @@ class ProcTimeline {
 
   /// Exhaustive structural audit for tests: every piece inside [0, H) and
   /// in its start's bucket, buckets sorted and globally disjoint, the
-  /// non-empty bitmap and the piece counter consistent.
+  /// non-empty bitmap and the piece counter consistent, and the owner
+  /// index recording exactly the stored pieces.
   bool check_index_integrity() const;
 
  private:
@@ -146,10 +154,14 @@ class ProcTimeline {
   /// amortized rehashing. One backing vector: no allocation per insert.
   class OwnerIndex {
    public:
-    OwnerPieces* find(TaskInstance key);
+    const OwnerPieces* find(TaskInstance key) const;
     /// Slot for \p key, inserting an empty record if absent.
     OwnerPieces& insert(TaskInstance key);
     void erase(TaskInstance key);
+    /// Empty the table, sized so that \p owners inserts never grow it.
+    void reset(std::size_t owners);
+    /// Pieces recorded over all live owners (for the integrity audit).
+    std::size_t recorded_pieces() const;
 
    private:
     struct Entry {

@@ -1,4 +1,5 @@
-/// Allocation-tracking test for the balancer hot path.
+/// Allocation-tracking tests for the balancer hot path and the online
+/// engine's graph edits.
 ///
 /// This binary replaces global operator new/delete with counting wrappers
 /// and runs LoadBalancer::balance over a generated mid-size system. The
@@ -12,6 +13,12 @@
 /// on this workload; the bounds below fail loudly if that behaviour
 /// regresses.
 ///
+/// The graph-edit tests hold the two TaskGraph delta constructors (task
+/// arrival and removal in the online engine) to a fixed number of
+/// allocations: the same count at N=500 and at N=2000. A per-task or
+/// per-edge allocation (a hashed name node, a per-task adjacency vector, a
+/// growing heap) would make the counts differ.
+///
 /// Skipped under sanitizers: ASan and TSan interpose the allocator and
 /// this counting definition would fight their bookkeeping.
 
@@ -21,8 +28,12 @@
 #include <cstdlib>
 #include <new>
 
+#include <string>
+#include <vector>
+
 #include "lbmem/gen/suites.hpp"
 #include "lbmem/lb/load_balancer.hpp"
+#include "lbmem/model/task_graph.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define LBMEM_ALLOC_TEST_DISABLED 1
@@ -46,10 +57,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller, free() on a pointer the compiler saw
+// come from operator new trips -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 #endif  // !LBMEM_ALLOC_TEST_DISABLED
 
@@ -105,6 +122,64 @@ TEST(BalancerAllocations, EvaluationIsAllocationFree) {
   const BalanceResult result2 = balancer.balance(input);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - again, allocs);
   EXPECT_EQ(result2.stats.makespan_after, result.stats.makespan_after);
+#endif
+}
+
+#ifndef LBMEM_ALLOC_TEST_DISABLED
+
+/// N tasks named t0..t<N-1> (short enough for the small-string buffer)
+/// over a harmonic period ladder, each consuming up to two earlier tasks.
+TaskGraph ladder_graph(int tasks) {
+  TaskGraph g;
+  for (int t = 0; t < tasks; ++t) {
+    g.add_task("t" + std::to_string(t), Time{4} << (t % 3), 1, 1);
+    if (t >= 1) g.add_dependence(t - 1, t, 1);
+    if (t >= 7) g.add_dependence(t - 7, t, 2);
+  }
+  g.freeze();
+  return g;
+}
+
+struct EditAllocations {
+  std::size_t arrival = 0;
+  std::size_t removal = 0;
+};
+
+EditAllocations count_edit_allocations(int tasks) {
+  const TaskGraph base = ladder_graph(tasks);
+  const Task task{"arrival", 8, 1, 1};
+  const std::vector<NamedProducer> producers = {{"t3", 1}, {"t10", 2}};
+  const std::vector<TaskId> victims = {static_cast<TaskId>(tasks / 2)};
+  EditAllocations counts;
+  std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  {
+    const TaskGraph grown = TaskGraph::with_task(base, task, producers);
+    counts.arrival = g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(grown.task_count(), base.task_count() + 1);
+  }
+  before = g_alloc_count.load(std::memory_order_relaxed);
+  {
+    const TaskGraph shrunk = TaskGraph::without_tasks(base, victims);
+    counts.removal = g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(shrunk.task_count(), base.task_count() - 1);
+  }
+  return counts;
+}
+
+#endif  // !LBMEM_ALLOC_TEST_DISABLED
+
+TEST(GraphEditAllocations, DeltaCountsDoNotGrowWithN) {
+#ifdef LBMEM_ALLOC_TEST_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  const EditAllocations small = count_edit_allocations(500);
+  const EditAllocations large = count_edit_allocations(2000);
+  EXPECT_EQ(small.arrival, large.arrival);
+  EXPECT_EQ(small.removal, large.removal);
+  // A handful of flat arrays per edit: tasks, dependences, the name table,
+  // two CSR directions, the topological order, the instance tables.
+  EXPECT_LE(large.arrival, 16u);
+  EXPECT_LE(large.removal, 16u);
 #endif
 }
 

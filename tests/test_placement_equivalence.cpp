@@ -363,9 +363,20 @@ TEST(PlacementEquivalence, RebalancerTraceQueriesMatchAscendingScan) {
   EXPECT_GE(failures, 1);  // the traces did exclude failed processors
 }
 
+/// The event mix of the pinned traces: arrivals, removals, re-estimates
+/// and up to two processor failures.
+EventTraceParams mixed_trace() {
+  EventTraceParams tp;
+  tp.events = 40;
+  tp.failure_weight = 0.15;
+  tp.max_failures = 2;
+  return tp;
+}
+
 /// FNV-1a digest of a Rebalancer run: every outcome's verdict and work
 /// counts, then the final schedule's starts and processors.
-std::uint64_t trace_digest(std::uint64_t seed) {
+std::uint64_t trace_digest(std::uint64_t seed,
+                           const EventTraceParams& tp = mixed_trace()) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](std::int64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -397,10 +408,6 @@ std::uint64_t trace_digest(std::uint64_t seed) {
   options.degraded.enabled = (seed % 4 == 0);
   Rebalancer engine =
       Rebalancer::adopt(graph, balanced.schedule, std::move(options));
-  EventTraceParams tp;
-  tp.events = 40;
-  tp.failure_weight = 0.15;
-  tp.max_failures = 2;
   for (const Event& event : random_event_trace(
            graph, initial.architecture(), tp, seed)) {
     const EventOutcome out = engine.apply(event);
@@ -430,6 +437,22 @@ TEST(PlacementEquivalence, RebalancerTraceDigestsArePinned) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     EXPECT_EQ(trace_digest(seed), expected[seed - 1]) << "seed " << seed;
   }
+}
+
+TEST(PlacementEquivalence, ChurnTraceDigestIsPinned) {
+  // Arrival- and removal-heavy: the graph is edited on most events (the
+  // TaskGraph deltas and the occupancy renumbering of DESIGN.md F10/F13),
+  // including hyper-period changes and full re-places. Seed 4 runs the
+  // degraded ladder, so shed rungs compose their id maps with the edit's.
+  // Recorded with the rebuild-per-edit engine: 18 arrivals and 24
+  // removals applied, 30 rejects, 11 full re-places, 17 tasks shed.
+  EventTraceParams tp;
+  tp.events = 80;
+  tp.arrival_weight = 0.45;
+  tp.removal_weight = 0.35;
+  tp.wcet_weight = 0.15;
+  tp.failure_weight = 0.05;
+  EXPECT_EQ(trace_digest(4, tp), 0x9afffe27f6624be2ULL);
 }
 
 }  // namespace
